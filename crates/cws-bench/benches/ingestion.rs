@@ -9,16 +9,14 @@
 //! * `multi_assignment` — per-assignment hashing (`DispersedStreamSampler`)
 //!   vs the hash-once record/row-batch/column APIs
 //!   (`MultiAssignmentStreamSampler`).
-//! * `sharded` — parallel ingestion at 1/2/4/8 shards, per-record handoff
-//!   vs zero-copy shared column batches.
+//! * `sharded` — the hash-once sampler with 1/2/4/8 workers, per-record
+//!   pushes (always inline) vs column batches split over the workers.
 //! * `aggregation` — the `Pipeline` facade's `SumByKey` pre-aggregation
 //!   stage absorbing an unaggregated element stream (2–5 fragments per
 //!   slot) and draining into the hash-once sampler.
 //!
 //! Set `CWS_BENCH_QUICK=1` for the CI smoke configuration (small dataset,
 //! few samples).
-
-use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -31,7 +29,7 @@ use cws_core::weights::MultiWeighted;
 
 const ASSIGNMENTS: usize = 8;
 const K: usize = 256;
-/// Records per shared batch on the zero-copy sharded route.
+/// Records per column batch on the sharded route.
 const SHARED_BATCH: usize = 8192;
 
 fn num_keys() -> usize {
@@ -101,8 +99,7 @@ fn bench_multi_assignment(c: &mut Criterion) {
 
 fn bench_sharded(c: &mut Criterion) {
     let data = dataset();
-    let batches: Vec<Arc<RecordColumns>> =
-        columns().split(SHARED_BATCH).into_iter().map(Arc::new).collect();
+    let batches = columns().split(SHARED_BATCH);
     let config = config();
     let mut group = c.benchmark_group("sharded");
     group.sample_size(samples()).throughput(Throughput::Elements(data.num_keys() as u64));

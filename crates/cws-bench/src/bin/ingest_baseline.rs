@@ -3,8 +3,8 @@
 //!
 //! Measures the layers of the ingestion hot path — single-assignment push
 //! throughput (scalar and batched), per-assignment hashing vs the hash-once
-//! row and column paths, sharded scaling over both the per-record and the
-//! zero-copy column handoff, and the `Pipeline` facade's `SumByKey`
+//! row and column paths, sharded scaling (the hash-once sampler with several
+//! workers) over both per-record pushes and column batches, and the `Pipeline` facade's `SumByKey`
 //! pre-aggregation stage over an unaggregated element stream (ungoverned
 //! and under a byte-tracking budget, which also records the stage's peak
 //! tracked bytes) — on the synthetic Zipf workload, and emits a JSON
@@ -37,11 +37,9 @@
 //! being regenerated.
 
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Instant;
 
 use cws_bench::{ingestion_columns, ingestion_dataset, ingestion_elements, workloads};
-use cws_core::columns::RecordColumns;
 use cws_core::coordination::{CoordinationMode, RankGenerator};
 use cws_core::ranks::RankFamily;
 use cws_core::summary::SummaryConfig;
@@ -50,7 +48,7 @@ use cws_core::weights::MultiWeighted;
 const ASSIGNMENTS: usize = 8;
 const K: usize = 256;
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-/// Records per shared batch on the zero-copy sharded route.
+/// Records per column batch on the sharded route.
 const SHARED_BATCH: usize = 8192;
 
 struct Options {
@@ -101,7 +99,7 @@ struct Baseline {
     hash_once_records_per_sec: f64,
     hash_once_batch_records_per_sec: f64,
     hash_once_columns_records_per_sec: f64,
-    /// Per shard count: (shards, per-record route, zero-copy column route).
+    /// Per worker count: (shards, per-record route, column route).
     sharded_records_per_sec: Vec<(usize, f64, f64)>,
     /// Size of the unaggregated element stream (2–5 fragments per slot).
     num_elements: usize,
@@ -131,8 +129,7 @@ fn run_baseline(quick: bool) -> Baseline {
     let reps = if quick { 3 } else { 7 };
     let data: MultiWeighted = ingestion_dataset(num_keys, ASSIGNMENTS);
     let columns = ingestion_columns(num_keys, ASSIGNMENTS);
-    let batches: Vec<Arc<RecordColumns>> =
-        columns.split(SHARED_BATCH).into_iter().map(Arc::new).collect();
+    let batches = columns.split(SHARED_BATCH);
     let config = SummaryConfig::new(K, RankFamily::Ipps, CoordinationMode::SharedSeed, 7);
     let generator = RankGenerator::new(RankFamily::Ipps, CoordinationMode::SharedSeed, 7)
         .expect("valid combination");

@@ -59,8 +59,6 @@ pub fn quick_mode() -> bool {
 /// Each returns a size derived from the finalized sample so callers can
 /// `black_box` it.
 pub mod workloads {
-    use std::sync::Arc;
-
     use cws_core::budget::ResourceBudget;
     use cws_core::columns::RecordColumns;
     use cws_core::coordination::RankGenerator;
@@ -71,10 +69,7 @@ pub mod workloads {
         Aggregation, EpochedPipeline, Ingest, Layout, Pipeline, Query, QueryBatch, QuerySpec,
         Summary, SyncPolicy, WalConfig,
     };
-    use cws_stream::{
-        BottomKStreamSampler, DispersedStreamSampler, MultiAssignmentStreamSampler,
-        ShardedDispersedSampler,
-    };
+    use cws_stream::{BottomKStreamSampler, DispersedStreamSampler, MultiAssignmentStreamSampler};
 
     /// Single-assignment bottom-k push over assignment 0 of `data`.
     pub fn single_push(data: &MultiWeighted, generator: RankGenerator, k: usize) -> usize {
@@ -114,14 +109,14 @@ pub mod workloads {
         for (key, weights) in data.iter() {
             sampler.push_record(key, weights).expect("valid weights");
         }
-        sampler.finalize().num_distinct_keys()
+        sampler.finalize().expect("no worker failure").num_distinct_keys()
     }
 
     /// The hash-once path fed through the row-major batch API.
     pub fn hash_once_batch(data: &MultiWeighted, config: SummaryConfig) -> usize {
         let mut sampler = MultiAssignmentStreamSampler::new(config, data.num_assignments());
         sampler.push_batch(data.iter()).expect("valid weights");
-        sampler.finalize().num_distinct_keys()
+        sampler.finalize().expect("no worker failure").num_distinct_keys()
     }
 
     /// The hash-once path fed as structure-of-arrays columns (the chunked
@@ -129,13 +124,14 @@ pub mod workloads {
     pub fn hash_once_columns(columns: &RecordColumns, config: SummaryConfig) -> usize {
         let mut sampler = MultiAssignmentStreamSampler::new(config, columns.num_assignments());
         sampler.push_columns(columns).expect("valid weights");
-        sampler.finalize().num_distinct_keys()
+        sampler.finalize().expect("no worker failure").num_distinct_keys()
     }
 
-    /// Sharded ingestion at `shards` worker threads, fed record-at-a-time
-    /// (the PR-2 handoff: every record is copied into a shard buffer).
+    /// The hash-once sampler with `shards` workers, fed record-at-a-time
+    /// (record pushes always run inline on the caller).
     pub fn sharded(data: &MultiWeighted, config: SummaryConfig, shards: usize) -> usize {
-        let mut sampler = ShardedDispersedSampler::new(config, data.num_assignments(), shards);
+        let mut sampler =
+            MultiAssignmentStreamSampler::with_workers(config, data.num_assignments(), shards);
         sampler.push_batch(data.iter()).expect("valid weights");
         sampler.finalize().expect("no worker failure").num_distinct_keys()
     }
@@ -203,7 +199,7 @@ pub mod workloads {
     /// Epoched ingestion with an optional write-ahead journal: `data`'s
     /// records pushed one by one through an [`EpochedPipeline`] (the
     /// serving shape a journal attaches to), then published in memory.
-    /// With a journal, every record is framed, CRC'd and written to `dir`
+    /// With a journal, every record is framed, checksummed and written to `dir`
     /// *before* ingestion sees it, under the given [`SyncPolicy`] — the
     /// baseline records the per-policy overhead against the unjournaled
     /// run. The directory is wiped first so every call journals into a
@@ -285,18 +281,18 @@ pub mod workloads {
         batch.execute(summary).expect("valid batch").iter().map(|report| report.observed_keys).sum()
     }
 
-    /// Sharded ingestion fed pre-chunked shared column batches — the
-    /// zero-copy handoff (with one shard the `Arc` goes to the worker
-    /// untouched; with more, columns are partitioned into pooled buffers).
+    /// The hash-once sampler with `shards` workers, fed pre-chunked column
+    /// batches: each push splits the assignments over the workers.
     pub fn sharded_columns(
-        batches: &[Arc<RecordColumns>],
+        batches: &[RecordColumns],
         config: SummaryConfig,
         shards: usize,
     ) -> usize {
-        let num_assignments = batches.first().map_or(1, |b| b.num_assignments());
-        let mut sampler = ShardedDispersedSampler::new(config, num_assignments, shards);
+        let num_assignments = batches.first().map_or(1, RecordColumns::num_assignments);
+        let mut sampler =
+            MultiAssignmentStreamSampler::with_workers(config, num_assignments, shards);
         for batch in batches {
-            sampler.push_columns_shared(batch).expect("valid weights");
+            sampler.push_columns(batch).expect("valid weights");
         }
         sampler.finalize().expect("no worker failure").num_distinct_keys()
     }
@@ -318,7 +314,6 @@ mod tests {
         use cws_core::coordination::{CoordinationMode, RankGenerator};
         use cws_core::ranks::RankFamily;
         use cws_core::summary::SummaryConfig;
-        use std::sync::Arc;
 
         let data = ingestion_dataset(3_000, 4);
         let columns = ingestion_columns(3_000, 4);
@@ -333,7 +328,7 @@ mod tests {
         );
         let expected = workloads::hash_once_batch(&data, config);
         assert_eq!(workloads::hash_once_columns(&columns, config), expected);
-        let batches: Vec<Arc<_>> = columns.split(512).into_iter().map(Arc::new).collect();
+        let batches = columns.split(512);
         for shards in [1usize, 3] {
             assert_eq!(workloads::sharded_columns(&batches, config, shards), expected);
         }

@@ -99,10 +99,11 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     KeyHasher::new(CHECKSUM_STREAM).hash_bytes(bytes)
 }
 
-/// The per-frame CRC of the write-ahead ingestion journal: a seeded 64-bit
-/// hash over one frame's payload, on a hash stream distinct from
-/// [`checksum`]. Torn-tail recovery truncates a journal segment at the
-/// first frame whose stored CRC disagrees with this function.
+/// The per-frame checksum of the write-ahead ingestion journal: a seeded
+/// 64-bit hash ([`KeyHasher::hash_bytes`]) over one frame's payload, on a
+/// hash stream distinct from [`checksum`]. Torn-tail recovery truncates a
+/// journal segment at the first frame whose stored checksum disagrees with
+/// this function.
 #[must_use]
 pub fn frame_checksum(bytes: &[u8]) -> u64 {
     KeyHasher::new(FRAME_CHECKSUM_STREAM).hash_bytes(bytes)

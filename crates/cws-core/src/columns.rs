@@ -2,21 +2,17 @@
 //!
 //! The stream samplers of `cws-stream` consume `(key, weight-vector)`
 //! records. Row-major handoff (one `&[f64]` per record) forces the
-//! per-assignment candidate loops to stride across interleaved weights and
-//! makes sharded handoff copy each record individually. [`RecordColumns`]
-//! stores a batch the other way round — one contiguous key column plus one
-//! contiguous weight *lane* per assignment — so that
+//! per-assignment candidate loops to stride across interleaved weights.
+//! [`RecordColumns`] stores a batch the other way round — one contiguous key
+//! column plus one contiguous weight *lane* per assignment — so that
 //!
 //! * the per-assignment threshold pre-filter scans a flat `&[f64]` lane
 //!   (auto-vectorizable, one threshold register, no per-record indirection);
-//! * sharded dispatch moves whole columns: a batch crosses a thread boundary
-//!   as three `Vec` pointers per lane instead of a per-record copy;
-//! * buffers are recyclable: [`RecordColumns::clear`] keeps every lane's
-//!   allocation, enabling allocate-once buffer pools.
+//! * parallel ingestion needs no copy: workers that split the assignments
+//!   each read their own lanes of one shared batch.
 //!
-//! The layout flows unchanged from the data generators (`cws-data`) through
-//! `MultiAssignmentStreamSampler::push_columns` down to the
-//! `ShardedDispersedSampler` handoff.
+//! The layout flows unchanged from the data generators (`cws-data`) down to
+//! `MultiAssignmentStreamSampler::push_columns`.
 
 use crate::error::{CwsError, Result};
 use crate::weights::{Key, MultiWeighted};
@@ -60,8 +56,7 @@ pub fn invalid_weight_error(key: Key, assignment: usize, weight: f64) -> CwsErro
 }
 
 /// Validates one weight lane against its key column — the single validation
-/// kernel every push boundary (single-assignment, multi-assignment, sharded)
-/// shares, so the acceptance contract cannot drift between them.
+/// kernel every push boundary (single-assignment, multi-assignment) shares, so the acceptance contract cannot drift between them.
 ///
 /// # Errors
 /// Returns [`invalid_weight_error`] for the first offending entry.
@@ -157,22 +152,8 @@ impl RecordColumns {
         }
     }
 
-    /// Appends record `index` of `source` (a cross-batch gather, used by
-    /// shard routing).
-    ///
-    /// # Panics
-    /// Panics if the assignment counts differ or `index` is out of range.
-    #[inline]
-    pub fn push_row_from(&mut self, source: &RecordColumns, index: usize) {
-        assert_eq!(source.lanes.len(), self.lanes.len(), "assignment arity mismatch");
-        self.keys.push(source.keys[index]);
-        for (lane, src) in self.lanes.iter_mut().zip(&source.lanes) {
-            lane.push(src[index]);
-        }
-    }
-
     /// Bulk-appends `len` records of `source` starting at `start` — a
-    /// per-lane `memcpy`, the single-shard fast path of the sharded engine.
+    /// per-lane `memcpy`.
     ///
     /// # Panics
     /// Panics if the assignment counts differ or the range is out of bounds.
@@ -181,15 +162,6 @@ impl RecordColumns {
         self.keys.extend_from_slice(&source.keys[start..start + len]);
         for (lane, src) in self.lanes.iter_mut().zip(&source.lanes) {
             lane.extend_from_slice(&src[start..start + len]);
-        }
-    }
-
-    /// Clears all records while keeping every lane's allocation — the
-    /// recycling primitive of the sharded buffer pool.
-    pub fn clear(&mut self) {
-        self.keys.clear();
-        for lane in &mut self.lanes {
-            lane.clear();
         }
     }
 
@@ -313,24 +285,14 @@ mod tests {
     }
 
     #[test]
-    fn clear_keeps_capacity() {
-        let mut columns = RecordColumns::with_capacity(3, 64);
-        columns.push(1, &[1.0, 2.0, 3.0]);
-        columns.clear();
-        assert!(columns.is_empty());
-        assert!(columns.keys.capacity() >= 64);
-        assert!(columns.lanes.iter().all(|lane| lane.capacity() >= 64));
-    }
-
-    #[test]
-    fn extend_and_gather_match_push() {
+    fn extend_matches_push() {
         let source = sample();
         let mut bulk = RecordColumns::new(2);
         bulk.extend_from(&source, 1, 2);
-        let mut gathered = RecordColumns::new(2);
-        gathered.push_row_from(&source, 1);
-        gathered.push_row_from(&source, 2);
-        assert_eq!(bulk, gathered);
+        let mut pushed = RecordColumns::new(2);
+        pushed.push(11, &[3.0, 0.0]);
+        pushed.push(12, &[5.0, 6.0]);
+        assert_eq!(bulk, pushed);
         assert_eq!(bulk.keys(), &[11, 12]);
     }
 

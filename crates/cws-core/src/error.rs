@@ -45,25 +45,13 @@ pub enum CwsError {
         /// The size of the relevant assignment set.
         relevant: usize,
     },
-    /// A sharded-ingestion worker thread panicked; the partial summaries are
-    /// unusable and the whole pass must be re-run.
+    /// A parallel-ingestion worker thread panicked; the partial sample is
+    /// unusable and the whole pass must be re-run into a fresh sampler.
     ShardWorkerPanicked {
-        /// Index of the shard whose worker died.
+        /// Index of the worker that died.
         shard: usize,
         /// The panic payload, when it was a string.
         message: String,
-    },
-    /// A sharded-ingestion worker failed to accept a batch or return a
-    /// buffer within the stall timeout. The worker may still be alive (a
-    /// slow disk, scheduler starvation); the push that observed the stall
-    /// did **not** ingest its records and can be retried, escalated to
-    /// [`ShardedDispersedSampler::respawn`](https://docs.rs/cws-stream), or
-    /// reported to the operator.
-    ShardStalled {
-        /// Index of the stalled shard.
-        shard: usize,
-        /// The timeout that expired, in milliseconds.
-        timeout_ms: u64,
     },
     /// A snapshot-store filesystem operation failed (create, write, fsync,
     /// rename, scan, remove). The store directory is never left in a state
@@ -123,18 +111,6 @@ pub enum CwsError {
         op: &'static str,
         /// How long the operation was allowed to run, in milliseconds.
         budget_ms: u64,
-    },
-    /// An admission-controlled stage (the sharded in-flight batch window)
-    /// is at capacity and the caller asked not to block. The push did not
-    /// ingest its records; retry after a backoff (see
-    /// [`RetryPolicy`](crate::budget::RetryPolicy)) or shed the load.
-    Overloaded {
-        /// The stage that refused admission (`"shard"`, `"aggregator"`…).
-        stage: &'static str,
-        /// How many units were already in flight.
-        in_flight: usize,
-        /// The admission cap that was hit.
-        capacity: usize,
     },
 }
 
@@ -245,9 +221,6 @@ impl fmt::Display for CwsError {
             CwsError::ShardWorkerPanicked { shard, message } => {
                 write!(f, "shard {shard} worker thread panicked: {message}")
             }
-            CwsError::ShardStalled { shard, timeout_ms } => {
-                write!(f, "shard {shard} did not accept traffic within {timeout_ms} ms (stalled)")
-            }
             CwsError::Store { op, path, message } => {
                 write!(f, "snapshot store `{op}` failed on `{path}`: {message}")
             }
@@ -266,9 +239,6 @@ impl fmt::Display for CwsError {
             }
             CwsError::DeadlineExceeded { op, budget_ms } => {
                 write!(f, "`{op}` deadline exceeded after {budget_ms} ms")
-            }
-            CwsError::Overloaded { stage, in_flight, capacity } => {
-                write!(f, "{stage} overloaded: {in_flight} of {capacity} admission slots in flight")
             }
         }
     }
@@ -299,10 +269,6 @@ mod tests {
         assert!(e.to_string().contains("shard 3"));
         assert!(e.to_string().contains("boom"));
 
-        let e = CwsError::ShardStalled { shard: 2, timeout_ms: 250 };
-        assert!(e.to_string().contains("shard 2"));
-        assert!(e.to_string().contains("250"));
-
         let e = CwsError::Store { op: "rename", path: "/tmp/x".into(), message: "denied".into() };
         assert!(e.to_string().contains("rename"));
         assert!(e.to_string().contains("/tmp/x"));
@@ -325,10 +291,6 @@ mod tests {
         let e = CwsError::DeadlineExceeded { op: "query", budget_ms: 250 };
         assert!(e.to_string().contains("query"));
         assert!(e.to_string().contains("250"));
-
-        let e = CwsError::Overloaded { stage: "shard", in_flight: 4, capacity: 4 };
-        assert!(e.to_string().contains("shard"));
-        assert!(e.to_string().contains("4 of 4"));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Deterministic, seedable fault injection for robustness testing.
 //!
 //! A long-lived sampling service has to survive the failures the paper's
-//! model abstracts away: worker threads that panic mid-epoch, shards that
-//! stall, and writes that are torn by a crash at an arbitrary byte offset.
+//! model abstracts away: worker threads that panic mid-epoch and writes
+//! that are torn by a crash at an arbitrary byte offset.
 //! This module provides the *injection* half of that story — small,
 //! dependency-free wrappers that make those failures reproducible on
 //! demand, from ordinary integration tests, with no `cfg(test)` hooks:
@@ -21,9 +21,9 @@
 //!   sprinkle [`std::io::ErrorKind::Interrupted`] results on a seeded
 //!   schedule; correct callers must retry, incorrect ones surface
 //!   immediately.
-//! * [`WorkerFault`] — the typed faults a shard worker can be instructed to
-//!   exhibit (used by `cws-stream`'s sharded engine, which accepts them
-//!   through its public `inject_worker_fault` supervision API).
+//! * [`WorkerFault`] — the typed faults a parallel-ingestion worker can be
+//!   instructed to exhibit (accepted by `cws-stream`'s
+//!   `MultiAssignmentStreamSampler::inject_worker_fault`).
 //!
 //! The wrappers live in the library proper (not behind `cfg(test)`) so the
 //! workspace-level fault battery, downstream crates, and ad-hoc operational
@@ -79,21 +79,14 @@ impl FaultPlan {
     }
 }
 
-/// The typed faults a sharded-ingestion worker can be instructed to exhibit
-/// through the sharded engine's supervision API.
+/// The typed faults a parallel-ingestion worker can be instructed to
+/// exhibit through the hash-once sampler's `inject_worker_fault`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum WorkerFault {
-    /// The worker panics when it processes the fault message, modelling a
-    /// bug or abort inside the per-shard sampler.
+    /// The worker panics on the next push, modelling a bug or abort inside
+    /// the per-assignment kernel.
     Panic,
-    /// The worker sleeps for this many milliseconds before processing any
-    /// further traffic, modelling a stalled shard (slow disk, scheduler
-    /// starvation, a lock convoy). Bounded so fault tests terminate.
-    Stall {
-        /// How long the worker stays unresponsive.
-        millis: u64,
-    },
 }
 
 /// A writer that forwards faithfully until `limit` bytes have been written,

@@ -74,7 +74,7 @@ use cws_core::{CwsError, Key, Result};
 use cws_hash::KeyHasher;
 
 /// Salt for the aggregation-table hash stream: deterministic per master
-/// seed, uncorrelated with the rank and shard-routing hashes.
+/// seed, uncorrelated with the rank hashes.
 const AGGREGATOR_STREAM: u64 = 0x5AAD_EDC0_DE00_0003;
 
 /// A drained quarantine: the lifetime report plus the retained dead

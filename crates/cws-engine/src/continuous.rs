@@ -10,8 +10,7 @@
 //!   pipeline built from the same configuration, finalizes the outgoing
 //!   epoch, and hands
 //!   back an immutable [`Arc<Summary>`] snapshot. Works with every back-end,
-//!   including sharded execution (the epoch swap is the one point where the
-//!   worker threads quiesce).
+//!   including sharded execution.
 //! * [`WindowedPipeline`] — a ring of the last `N` published windows. All
 //!   windows share one configuration (and therefore one hash seed), so
 //!   consecutive coordinated windows overlap maximally — the paper's
@@ -26,9 +25,9 @@
 //! # Degraded-mode serving
 //!
 //! A long-lived service must keep answering queries through a failure. When
-//! [`publish`](EpochedPipeline::publish) fails — a sharded worker panicked
-//! mid-epoch, a stalled shard timed out, the snapshot store rejected the
-//! write — the pipeline does **not** stop serving:
+//! [`publish`](EpochedPipeline::publish) fails — a parallel-ingestion worker
+//! panicked mid-epoch, the snapshot store rejected the write — the pipeline
+//! does **not** stop serving:
 //! [`latest`](EpochedPipeline::latest) keeps returning the last good
 //! snapshot, ingestion resumes into a fresh same-seed pipeline, and
 //! [`degraded`](EpochedPipeline::degraded) reports the typed cause plus
@@ -304,7 +303,7 @@ impl EpochedPipeline {
     /// same-seed pipeline (build failures leave the current epoch's
     /// pipeline in place instead), and [`degraded`](Self::degraded) carries
     /// the typed reason with staleness counters until a publish succeeds.
-    /// A finalize failure (e.g. a sharded worker panic) destroys the
+    /// A finalize failure (e.g. a worker panic) destroys the
     /// epoch's in-memory records; with a journal attached they are
     /// immediately replayed back into the fresh pipeline (counted in
     /// [`DegradedState::records_replayable`] — nothing is lost), without
@@ -531,17 +530,17 @@ impl EpochedPipeline {
         (accepted, rejected)
     }
 
-    /// Fault injection into the current epoch's sharded back-end — see
+    /// Fault injection into the current epoch's dispersed back-end — see
     /// [`Pipeline::inject_worker_fault`].
     ///
     /// # Errors
     /// As [`Pipeline::inject_worker_fault`].
     pub fn inject_worker_fault(
         &mut self,
-        shard: usize,
+        worker: usize,
         fault: cws_core::WorkerFault,
     ) -> Result<()> {
-        self.current.inject_worker_fault(shard, fault)
+        self.current.inject_worker_fault(worker, fault)
     }
 
     /// Absorbs one unaggregated element into the current epoch (requires an
@@ -610,16 +609,6 @@ impl Ingest for EpochedPipeline {
             }
         }
         self.current.push_columns(columns)
-    }
-
-    fn push_columns_shared(&mut self, columns: &Arc<RecordColumns>) -> Result<()> {
-        if !self.replaying {
-            let epoch = self.epoch + 1;
-            if let Some(journal) = self.journal.as_mut() {
-                journal.append_columns(epoch, columns)?;
-            }
-        }
-        self.current.push_columns_shared(columns)
     }
 
     /// Finalizes the current epoch without publishing it.
@@ -876,10 +865,6 @@ impl Ingest for WindowedPipeline {
 
     fn push_columns(&mut self, columns: &RecordColumns) -> Result<()> {
         self.epochs.push_columns(columns)
-    }
-
-    fn push_columns_shared(&mut self, columns: &Arc<RecordColumns>) -> Result<()> {
-        self.epochs.push_columns_shared(columns)
     }
 
     /// Finalizes the current window without rolling it into the ring.

@@ -3,22 +3,17 @@
 //! Each back-end has a *native* call shape — scalar records for
 //! [`ColocatedStreamSampler`], per-assignment observations for
 //! [`DispersedStreamSampler`], structure-of-arrays columns for
-//! [`MultiAssignmentStreamSampler`] and [`ShardedDispersedSampler`] — and
-//! historically exposed only the shapes it was optimized for. [`Ingest`]
-//! gives all of them all four record-shaped surfaces: the trait's default
+//! [`MultiAssignmentStreamSampler`] — and historically exposed only the
+//! shapes it was optimized for. [`Ingest`] gives all of them all three
+//! record-shaped surfaces: the trait's default
 //! methods bridge row-major and columnar forms through the same per-record
 //! offers the native paths make, so **every call shape on every back-end
 //! produces bit-identical summaries** (asserted by `tests/pipeline_parity.rs`
 //! at the workspace root).
 
-use std::sync::Arc;
-
 use cws_core::columns::RecordColumns;
 use cws_core::{Key, Result};
-use cws_stream::{
-    ColocatedStreamSampler, DispersedStreamSampler, MultiAssignmentStreamSampler,
-    ShardedDispersedSampler,
-};
+use cws_stream::{ColocatedStreamSampler, DispersedStreamSampler, MultiAssignmentStreamSampler};
 
 use crate::summary::Summary;
 
@@ -78,25 +73,11 @@ pub trait Ingest {
         Ok(())
     }
 
-    /// Processes a shared structure-of-arrays batch.
-    ///
-    /// The default forwards to [`Ingest::push_columns`]; the sharded
-    /// back-end overrides it to hand the `Arc` itself across the thread
-    /// boundary (the zero-copy path).
-    ///
-    /// # Errors
-    /// As [`Ingest::push_columns`]. On a zero-copy hand-off, validation
-    /// happens on the worker and an invalid weight surfaces from
-    /// [`Ingest::finalize`] instead.
-    fn push_columns_shared(&mut self, columns: &Arc<RecordColumns>) -> Result<()> {
-        self.push_columns(columns)
-    }
-
     /// Finalizes the pass into a [`Summary`].
     ///
     /// # Errors
-    /// Returns an error if the back-end failed asynchronously (e.g. a
-    /// sharded worker panicked or rejected a zero-copy batch).
+    /// Returns an error if the back-end failed during the pass (e.g. a
+    /// parallel-ingestion worker panicked).
     fn finalize(self) -> Result<Summary>
     where
         Self: Sized;
@@ -160,33 +141,7 @@ impl Ingest for MultiAssignmentStreamSampler {
     }
 
     fn finalize(self) -> Result<Summary> {
-        Ok(Summary::Dispersed(MultiAssignmentStreamSampler::finalize(self)))
-    }
-}
-
-impl Ingest for ShardedDispersedSampler {
-    fn num_assignments(&self) -> usize {
-        ShardedDispersedSampler::num_assignments(self)
-    }
-
-    fn processed(&self) -> u64 {
-        ShardedDispersedSampler::processed(self)
-    }
-
-    fn push_record(&mut self, key: Key, weights: &[f64]) -> Result<()> {
-        ShardedDispersedSampler::push_record(self, key, weights)
-    }
-
-    fn push_columns(&mut self, columns: &RecordColumns) -> Result<()> {
-        ShardedDispersedSampler::push_columns(self, columns)
-    }
-
-    fn push_columns_shared(&mut self, columns: &Arc<RecordColumns>) -> Result<()> {
-        ShardedDispersedSampler::push_columns_shared(self, columns)
-    }
-
-    fn finalize(self) -> Result<Summary> {
-        ShardedDispersedSampler::finalize(self).map(Summary::Dispersed)
+        MultiAssignmentStreamSampler::finalize(self).map(Summary::Dispersed)
     }
 }
 
@@ -206,7 +161,7 @@ mod tests {
         builder.build()
     }
 
-    /// Drives a back-end through every trait call shape and returns the four
+    /// Drives a back-end through every trait call shape and returns the three
     /// finalized summaries (which must all be equal).
     fn all_shapes<S, F>(make: F, data: &MultiWeighted) -> Vec<Summary>
     where
@@ -231,11 +186,6 @@ mod tests {
         Ingest::push_columns(&mut sampler, &columns).unwrap();
         summaries.push(Ingest::finalize(sampler).unwrap());
 
-        let mut sampler = make();
-        let shared = Arc::new(columns);
-        Ingest::push_columns_shared(&mut sampler, &shared).unwrap();
-        summaries.push(Ingest::finalize(sampler).unwrap());
-
         summaries
     }
 
@@ -250,9 +200,8 @@ mod tests {
 
         let dispersed = all_shapes(|| DispersedStreamSampler::new(config, 3), &data);
         let hash_once = all_shapes(|| MultiAssignmentStreamSampler::new(config, 3), &data);
-        let sharded =
-            all_shapes(|| ShardedDispersedSampler::with_batch_capacity(config, 3, 2, 64), &data);
-        for summary in dispersed.iter().chain(&hash_once).chain(&sharded) {
+        let split = all_shapes(|| MultiAssignmentStreamSampler::with_workers(config, 3, 2), &data);
+        for summary in dispersed.iter().chain(&hash_once).chain(&split) {
             assert_eq!(summary, &dispersed[0], "all dispersed back-ends and shapes agree");
         }
     }

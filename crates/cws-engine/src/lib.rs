@@ -5,12 +5,12 @@
 //! coordinated summary that answers a-posteriori aggregate queries over any
 //! combination of weight assignments. The lower crates realize that promise
 //! with several specialized front-ends — offline builders, per-assignment
-//! stream samplers, the hash-once sampler, the sharded parallel engine —
-//! and two estimator types with diverging method sets. This crate folds all
+//! stream samplers, the hash-once sampler (sequential or split over worker
+//! threads) — and two estimator types with diverging method sets. This crate folds all
 //! of them behind three small surfaces:
 //!
 //! * [`Ingest`] — one ingestion trait (`push_record`, `push_batch`,
-//!   `push_columns`, `push_columns_shared`, `finalize`) implemented by every
+//!   `push_columns`, `finalize`) implemented by every
 //!   stream sampler, with default methods bridging the row and column call
 //!   shapes so each back-end accepts all of them bit-exactly.
 //! * [`Pipeline`] / [`PipelineBuilder`] — one builder that picks the

@@ -1,16 +1,15 @@
 //! The [`Pipeline`] facade: one builder, one ingestion surface, one
 //! finalized [`Summary`] — over every sampling back-end of the workspace.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use cws_core::budget::{AdmissionControl, Deadline, QuarantinedRecords, ResourceBudget};
+use cws_core::budget::{Deadline, QuarantinedRecords, ResourceBudget};
 use cws_core::columns::RecordColumns;
 use cws_core::summary::{ColocatedSummary, DispersedSummary, SummaryConfig};
 use cws_core::{CoordinationMode, CwsError, Key, RankFamily, Result, WorkerFault};
 use cws_stream::{
     merge_disjoint_colocated, merge_disjoint_summaries_ref, ColocatedStreamSampler,
-    MultiAssignmentStreamSampler, ShardedDispersedSampler,
+    MultiAssignmentStreamSampler,
 };
 
 use crate::aggregation::{Aggregation, KeyAggregator};
@@ -26,7 +25,7 @@ pub enum Layout {
     /// the inclusive estimators, every aggregate including custom functions.
     Colocated,
     /// Dispersed summary (Section 7): one bottom-k sketch per assignment,
-    /// the s-set / l-set estimators, shardable ingestion.
+    /// the s-set / l-set estimators, parallel ingestion.
     Dispersed,
 }
 
@@ -35,9 +34,11 @@ pub enum Layout {
 pub enum Execution {
     /// Single-threaded ingestion on the calling thread.
     Sequential,
-    /// Keys partitioned by hash across this many worker threads
-    /// (bit-identical to sequential at any shard count; dispersed layout
-    /// only).
+    /// Column pushes split the assignments over this many scoped worker
+    /// threads (at most one per assignment; record pushes stay on the
+    /// caller). Bit-identical to sequential at any worker count; dispersed
+    /// layout only. See
+    /// [`MultiAssignmentStreamSampler::with_workers`].
     Sharded(usize),
 }
 
@@ -75,11 +76,8 @@ pub struct PipelineBuilder {
     aggregation: Aggregation,
     seed: u64,
     assignments: Option<usize>,
-    flush_threshold: Option<usize>,
     budget: ResourceBudget,
     deadline: Option<Duration>,
-    stall_timeout: Option<Duration>,
-    admission: AdmissionControl,
     journal: Option<WalConfig>,
 }
 
@@ -94,11 +92,8 @@ impl Default for PipelineBuilder {
             aggregation: Aggregation::PreAggregated,
             seed: 0,
             assignments: None,
-            flush_threshold: None,
             budget: ResourceBudget::unlimited(),
             deadline: None,
-            stall_timeout: None,
-            admission: AdmissionControl::Block,
             journal: None,
         }
     }
@@ -162,17 +157,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Maximum records per hand-off batch when the aggregation stage drains
-    /// into the sampler. Default: unbounded — the whole aggregate is handed
-    /// over as **one zero-copy batch**. Set a threshold to bound hand-off
-    /// batch sizes instead (e.g. to cap the sharded engine's in-flight
-    /// buffers).
-    #[must_use]
-    pub fn flush_threshold(mut self, records: usize) -> Self {
-        self.flush_threshold = Some(records);
-        self
-    }
-
     /// Caps the resources governed stages may hold (default: unlimited).
     ///
     /// Byte and key caps bound the aggregation stage's tracked memory: a
@@ -196,25 +180,6 @@ impl PipelineBuilder {
     #[must_use]
     pub fn deadline(mut self, budget: Duration) -> Self {
         self.deadline = Some(budget);
-        self
-    }
-
-    /// Bounds how long a sharded push waits for a wedged shard before
-    /// returning [`CwsError::ShardStalled`] (default 30 s; sharded
-    /// execution only). Facade form of
-    /// [`ShardedDispersedSampler::set_stall_timeout`].
-    #[must_use]
-    pub fn stall_timeout(mut self, timeout: Duration) -> Self {
-        self.stall_timeout = Some(timeout);
-        self
-    }
-
-    /// Admission-control policy for sharded pushes (default
-    /// [`AdmissionControl::Block`]; sharded execution only). Facade form of
-    /// [`ShardedDispersedSampler::set_admission`].
-    #[must_use]
-    pub fn admission(mut self, admission: AdmissionControl) -> Self {
-        self.admission = admission;
         self
     }
 
@@ -253,13 +218,7 @@ impl PipelineBuilder {
     /// * the dispersed layout is combined with independent-differences
     ///   ranks (that construction only exists colocated);
     /// * sharded execution is requested with the colocated layout or with
-    ///   zero shards;
-    /// * a flush threshold of zero is set, or a flush threshold is set
-    ///   without an aggregation stage (it would be silently dead
-    ///   configuration);
-    /// * a zero stall timeout is set, or a stall timeout / non-default
-    ///   admission policy is set without sharded execution (equally dead
-    ///   configuration);
+    ///   zero workers;
     /// * a byte or key budget is set without an aggregation stage (only
     ///   governed stages track usage; deadlines work on any pipeline);
     /// * a [`journal`](Self::journal) is configured — journaling needs the
@@ -284,44 +243,6 @@ impl PipelineBuilder {
             return Err(CwsError::InvalidParameter {
                 name: "assignments",
                 message: "at least one weight assignment is required".to_string(),
-            });
-        }
-        if self.flush_threshold == Some(0) {
-            return Err(CwsError::InvalidParameter {
-                name: "flush_threshold",
-                message: "the aggregation flush threshold must be positive".to_string(),
-            });
-        }
-        if self.flush_threshold.is_some() && !self.aggregation.is_aggregating() {
-            return Err(CwsError::InvalidParameter {
-                name: "flush_threshold",
-                message: "a flush threshold is only meaningful with an aggregation stage \
-                          (PipelineBuilder::aggregation(SumByKey | MaxByKey))"
-                    .to_string(),
-            });
-        }
-        if self.stall_timeout == Some(Duration::ZERO) {
-            return Err(CwsError::InvalidParameter {
-                name: "stall_timeout",
-                message: "the stall timeout must be positive".to_string(),
-            });
-        }
-        if self.stall_timeout.is_some() && !matches!(self.execution, Execution::Sharded(_)) {
-            return Err(CwsError::InvalidParameter {
-                name: "stall_timeout",
-                message: "a stall timeout is only meaningful with sharded execution \
-                          (PipelineBuilder::execution(Execution::Sharded(n)))"
-                    .to_string(),
-            });
-        }
-        if self.admission != AdmissionControl::Block
-            && !matches!(self.execution, Execution::Sharded(_))
-        {
-            return Err(CwsError::InvalidParameter {
-                name: "admission",
-                message: "admission control is only meaningful with sharded execution \
-                          (PipelineBuilder::execution(Execution::Sharded(n)))"
-                    .to_string(),
             });
         }
         if (self.budget.max_bytes().is_some() || self.budget.max_keys().is_some())
@@ -364,17 +285,12 @@ impl PipelineBuilder {
                     Execution::Sharded(0) => {
                         return Err(CwsError::InvalidParameter {
                             name: "execution",
-                            message: "at least one shard is required".to_string(),
+                            message: "at least one worker is required".to_string(),
                         });
                     }
-                    Execution::Sharded(shards) => {
-                        let mut sampler = ShardedDispersedSampler::new(config, assignments, shards);
-                        if let Some(timeout) = self.stall_timeout {
-                            sampler.set_stall_timeout(timeout);
-                        }
-                        sampler.set_admission(self.admission);
-                        Backend::Sharded(sampler)
-                    }
+                    Execution::Sharded(workers) => Backend::HashOnce(
+                        MultiAssignmentStreamSampler::with_workers(config, assignments, workers),
+                    ),
                 }
             }
         };
@@ -386,16 +302,16 @@ impl PipelineBuilder {
             None
         };
         let deadline = self.deadline.or(self.budget.deadline()).map(Deadline::after);
-        Ok(Pipeline { backend, aggregator, flush_threshold: self.flush_threshold, deadline })
+        Ok(Pipeline { backend, aggregator, deadline })
     }
 }
 
 /// The selected sampling back-end (an implementation detail of
 /// [`Pipeline`]; every variant implements [`Ingest`]).
+#[derive(Clone)]
 enum Backend {
     Colocated(ColocatedStreamSampler),
     HashOnce(MultiAssignmentStreamSampler),
-    Sharded(ShardedDispersedSampler),
 }
 
 macro_rules! for_backend {
@@ -403,7 +319,6 @@ macro_rules! for_backend {
         match $backend {
             Backend::Colocated($sampler) => $body,
             Backend::HashOnce($sampler) => $body,
-            Backend::Sharded($sampler) => $body,
         }
     };
 }
@@ -412,8 +327,7 @@ impl std::fmt::Debug for Backend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Backend::Colocated(_) => f.write_str("Colocated"),
-            Backend::HashOnce(_) => f.write_str("HashOnce"),
-            Backend::Sharded(sampler) => write!(f, "Sharded({})", sampler.num_shards()),
+            Backend::HashOnce(sampler) => write!(f, "HashOnce({} workers)", sampler.workers()),
         }
     }
 }
@@ -430,7 +344,6 @@ impl std::fmt::Debug for Backend {
 pub struct Pipeline {
     backend: Backend,
     aggregator: Option<KeyAggregator>,
-    flush_threshold: Option<usize>,
     deadline: Option<Deadline>,
 }
 
@@ -560,26 +473,22 @@ impl Pipeline {
         }
     }
 
-    /// Instructs one worker of a **sharded** back-end to exhibit `fault`
-    /// (panic, stall) when it processes its next message — the
-    /// deterministic fault-injection entry point the fault battery uses to
-    /// exercise supervision and degraded-mode serving end to end. See
-    /// [`ShardedDispersedSampler::inject_worker_fault`].
+    /// Instructs one worker of the dispersed back-end to exhibit `fault` on
+    /// the next push — the deterministic fault-injection entry point the
+    /// fault battery uses to exercise degraded-mode serving end to end. See
+    /// [`MultiAssignmentStreamSampler::inject_worker_fault`].
     ///
     /// # Errors
-    /// A typed error when the pipeline is not sharded, the shard's worker
-    /// is already dead (its harvested failure), or the fault could not be
-    /// delivered within the stall timeout.
-    ///
-    /// # Panics
-    /// Panics if `shard` is out of range for the sharded back-end.
-    pub fn inject_worker_fault(&mut self, shard: usize, fault: WorkerFault) -> Result<()> {
+    /// A typed error when the pipeline has the colocated layout, `worker`
+    /// is not below the back-end's worker count, or a worker already died
+    /// (its failure).
+    pub fn inject_worker_fault(&mut self, worker: usize, fault: WorkerFault) -> Result<()> {
         match &mut self.backend {
-            Backend::Sharded(sampler) => sampler.inject_worker_fault(shard, fault),
-            Backend::Colocated(_) | Backend::HashOnce(_) => Err(CwsError::InvalidParameter {
+            Backend::HashOnce(sampler) => sampler.inject_worker_fault(worker, fault),
+            Backend::Colocated(_) => Err(CwsError::InvalidParameter {
                 name: "execution",
-                message: "worker-fault injection targets shard workers; this pipeline runs \
-                          single-threaded (Execution::Sequential)"
+                message: "worker-fault injection targets the dispersed back-end's workers; \
+                          this pipeline has the colocated layout"
                     .to_string(),
             }),
         }
@@ -590,27 +499,11 @@ impl Pipeline {
     /// exactly what [`finalize`](Ingest::finalize) would return right now.
     ///
     /// # Errors
-    /// Returns a typed error for sharded pipelines, whose in-flight state
-    /// lives on worker threads; use
-    /// [`EpochedPipeline`](crate::continuous::EpochedPipeline) to publish
-    /// point-in-time summaries from a sharded ingestion loop.
+    /// As [`finalize`](Ingest::finalize) (a dead worker's failure).
     pub fn snapshot(&self) -> Result<Summary> {
-        let backend = match &self.backend {
-            Backend::Colocated(sampler) => Backend::Colocated(sampler.clone()),
-            Backend::HashOnce(sampler) => Backend::HashOnce(sampler.clone()),
-            Backend::Sharded(_) => {
-                return Err(CwsError::InvalidParameter {
-                    name: "execution",
-                    message: "sharded pipelines cannot snapshot in place (worker state lives on \
-                              other threads); publish epochs with EpochedPipeline instead"
-                        .to_string(),
-                });
-            }
-        };
         let copy = Pipeline {
-            backend,
+            backend: self.backend.clone(),
             aggregator: self.aggregator.clone(),
-            flush_threshold: self.flush_threshold,
             deadline: self.deadline,
         };
         copy.finalize()
@@ -622,10 +515,10 @@ impl Pipeline {
     /// right now?" mid-ingestion. For heavy concurrent serving, prefer
     /// publishing epochs with
     /// [`EpochedPipeline`](crate::continuous::EpochedPipeline) and batching
-    /// against the shared [`Arc<Summary>`] snapshots.
+    /// against the shared [`Arc<Summary>`](std::sync::Arc) snapshots.
     ///
     /// # Errors
-    /// As [`Pipeline::snapshot`] (typed error for sharded pipelines) and
+    /// As [`Pipeline::snapshot`] and
     /// [`QueryBatch::execute`](crate::plan::QueryBatch::execute).
     pub fn query_batch(&self, batch: &crate::plan::QueryBatch) -> Result<Vec<EstimateReport>> {
         batch.execute(&self.snapshot()?)
@@ -676,42 +569,21 @@ impl Pipeline {
             return Ok(());
         };
         let columns = aggregator.flush_columns();
-        self.push_drained(columns)
+        self.push_drained(&columns)
     }
 
-    /// Drains the aggregation stage into the back-end: one zero-copy batch
-    /// by default, `flush_threshold`-sized copies otherwise.
+    /// Drains the aggregation stage into the back-end as one batch.
     fn drain_aggregator(&mut self) -> Result<()> {
         let Some(aggregator) = self.aggregator.take() else {
             return Ok(());
         };
         let columns = aggregator.into_columns();
-        self.push_drained(columns)
+        self.push_drained(&columns)
     }
 
-    /// Hands a drained aggregate to the back-end: one zero-copy batch by
-    /// default, `flush_threshold`-sized copies otherwise.
-    fn push_drained(&mut self, columns: RecordColumns) -> Result<()> {
-        match self.flush_threshold {
-            Some(threshold) if threshold < columns.len() => {
-                let mut batch = RecordColumns::with_capacity(columns.num_assignments(), threshold);
-                let mut start = 0;
-                while start < columns.len() {
-                    let len = threshold.min(columns.len() - start);
-                    batch.extend_from(&columns, start, len);
-                    for_backend!(&mut self.backend, sampler => sampler.push_columns(&batch))?;
-                    batch.clear();
-                    start += len;
-                }
-            }
-            _ => {
-                let shared = Arc::new(columns);
-                for_backend!(&mut self.backend, sampler => {
-                    Ingest::push_columns_shared(sampler, &shared)
-                })?;
-            }
-        }
-        Ok(())
+    /// Hands a drained aggregate to the back-end as one batch.
+    fn push_drained(&mut self, columns: &RecordColumns) -> Result<()> {
+        for_backend!(&mut self.backend, sampler => Ingest::push_columns(sampler, columns))
     }
 }
 
@@ -768,25 +640,6 @@ impl Ingest for Pipeline {
         }
     }
 
-    fn push_columns_shared(&mut self, columns: &Arc<RecordColumns>) -> Result<()> {
-        self.check_ingest_deadline()?;
-        match &mut self.aggregator {
-            Some(aggregator) => match aggregator.absorb_columns(columns) {
-                Err(CwsError::BudgetExceeded { .. }) => {
-                    self.flush_early()?;
-                    self.aggregator
-                        .as_mut()
-                        .expect("flush_early keeps the aggregation stage")
-                        .absorb_columns(columns)
-                }
-                other => other,
-            },
-            None => for_backend!(&mut self.backend, sampler => {
-                Ingest::push_columns_shared(sampler, columns)
-            }),
-        }
-    }
-
     fn finalize(mut self) -> Result<Summary> {
         self.drain_aggregator()?;
         for_backend!(self.backend, sampler => Ingest::finalize(sampler))
@@ -835,49 +688,46 @@ mod tests {
             Err(CwsError::InvalidParameter { name: "journal", .. })
         ));
         assert!(matches!(
-            base().aggregation(Aggregation::SumByKey).flush_threshold(0).build(),
-            Err(CwsError::InvalidParameter { name: "flush_threshold", .. })
-        ));
-        // A flush threshold without an aggregation stage would be silently
-        // dead configuration — rejected like every other invalid combo.
-        assert!(matches!(
-            base().flush_threshold(1000).build(),
-            Err(CwsError::InvalidParameter { name: "flush_threshold", .. })
-        ));
-        // Same policy for the governance knobs: zero or dead configuration
-        // is a typed build error, not silent acceptance.
-        assert!(matches!(
-            base()
-                .layout(Layout::Dispersed)
-                .execution(Execution::Sharded(2))
-                .stall_timeout(Duration::ZERO)
-                .build(),
-            Err(CwsError::InvalidParameter { name: "stall_timeout", .. })
-        ));
-        assert!(matches!(
-            base().stall_timeout(Duration::from_secs(1)).build(),
-            Err(CwsError::InvalidParameter { name: "stall_timeout", .. })
-        ));
-        assert!(matches!(
-            base().admission(AdmissionControl::FailFast { wait: Duration::from_millis(1) }).build(),
-            Err(CwsError::InvalidParameter { name: "admission", .. })
-        ));
-        assert!(matches!(
             base().budget(ResourceBudget::unlimited().with_max_keys(10)).build(),
             Err(CwsError::InvalidParameter { name: "budget", .. })
         ));
-        // Sharded pipelines accept all of them together.
+        // Sharded pipelines accept a governed aggregation stage.
         base()
             .layout(Layout::Dispersed)
             .execution(Execution::Sharded(2))
             .aggregation(Aggregation::SumByKey)
             .budget(ResourceBudget::unlimited().with_max_keys(10))
-            .stall_timeout(Duration::from_secs(1))
-            .admission(AdmissionControl::FailFast { wait: Duration::from_millis(1) })
             .build()
             .unwrap();
         // A deadline needs no aggregation stage.
         base().deadline(Duration::from_secs(3600)).build().unwrap();
+    }
+
+    /// A sharded pipeline snapshots in place like any other: the snapshot
+    /// equals what finalize returns, and ingestion continues afterwards.
+    #[test]
+    fn sharded_snapshot_equals_finalize() {
+        use crate::ingest::Ingest;
+        for aggregation in [Aggregation::PreAggregated, Aggregation::SumByKey] {
+            let mut pipeline = Pipeline::builder()
+                .assignments(5)
+                .k(8)
+                .layout(Layout::Dispersed)
+                .execution(Execution::Sharded(3))
+                .aggregation(aggregation)
+                .seed(17)
+                .build()
+                .unwrap();
+            let mut columns = RecordColumns::new(5);
+            for key in 0..400u64 {
+                let weights: Vec<f64> = (0..5u64).map(|b| ((key * (b + 2)) % 11) as f64).collect();
+                columns.push(key, &weights);
+            }
+            pipeline.push_columns(&columns).unwrap();
+            let snapshot = pipeline.snapshot().unwrap();
+            assert_eq!(pipeline.processed(), 400, "a snapshot consumes nothing");
+            assert_eq!(snapshot, pipeline.finalize().unwrap(), "{aggregation:?}");
+        }
     }
 
     #[test]

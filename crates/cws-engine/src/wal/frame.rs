@@ -1,7 +1,8 @@
-//! Length-prefixed, CRC-framed journal records.
+//! Length-prefixed, checksummed journal records.
 //!
-//! Every frame on disk is `payload_len (u32 LE) · payload CRC (u64 LE) ·
-//! payload`, where the CRC is [`frame_checksum`] over the payload bytes.
+//! Every frame on disk is `payload_len (u32 LE) · payload checksum (u64 LE)
+//! · payload`, where the checksum is [`frame_checksum`] (a seeded 64-bit
+//! hash) over the payload bytes.
 //! The payload starts with a kind tag (u8) and the **epoch tag** (u64 LE)
 //! — the epoch number the frame's records will publish under — followed by
 //! a kind-specific body:
@@ -27,7 +28,8 @@
 use cws_core::codec::frame_checksum;
 use cws_core::Key;
 
-/// Fixed prefix of every frame: payload length (u32) + payload CRC (u64).
+/// Fixed prefix of every frame: payload length (u32) + payload checksum
+/// (u64).
 pub(crate) const FRAME_HEADER_BYTES: usize = 12;
 
 /// Largest payload a frame may declare; a length field beyond this is
@@ -180,15 +182,15 @@ pub(crate) fn decode_frame(bytes: &[u8], num_assignments: usize) -> DecodeStep {
     if len > MAX_FRAME_PAYLOAD {
         return DecodeStep::Torn { reason: "frame length overflow" };
     }
-    let stored_crc = read_u64(&bytes[4..]);
+    let stored_checksum = read_u64(&bytes[4..]);
     if bytes.len() < FRAME_HEADER_BYTES + len {
         return DecodeStep::Torn { reason: "truncated frame payload" };
     }
     let payload = &bytes[FRAME_HEADER_BYTES..FRAME_HEADER_BYTES + len];
-    if frame_checksum(payload) != stored_crc {
+    if frame_checksum(payload) != stored_checksum {
         return DecodeStep::Torn { reason: "frame checksum mismatch" };
     }
-    // The CRC passed; the payload is still validated structurally — a
+    // The checksum passed; the payload is still validated structurally — a
     // writer bug or a colliding corruption must truncate, never replay
     // garbage.
     if payload.len() < PAYLOAD_PREFIX {
@@ -328,7 +330,7 @@ mod tests {
     }
 
     #[test]
-    fn structurally_invalid_payloads_are_torn_even_with_a_valid_crc() {
+    fn structurally_invalid_payloads_are_torn_even_with_a_valid_checksum() {
         // A records frame whose declared count disagrees with its length,
         // re-checksummed so only structural validation can catch it.
         let mut frame = encode_records(1, &[1], &[1.0], 1);

@@ -10,7 +10,7 @@
 //!
 //! The pieces, bottom-up:
 //!
-//! * `frame` — length-prefixed, CRC-framed record batches. Every frame
+//! * `frame` — length-prefixed, checksummed record batches. Every frame
 //!   carries the **epoch tag** it will publish under; weights travel as
 //!   raw IEEE-754 bit patterns, the summary codec's convention.
 //! * `segment` — `wal-<seq>.cwsj` files with a checksummed header,

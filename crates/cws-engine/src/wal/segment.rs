@@ -77,8 +77,8 @@ pub(crate) fn encode_header(seq: u64, num_assignments: u64) -> [u8; SEGMENT_HEAD
     header[4..6].copy_from_slice(&SEGMENT_VERSION.to_le_bytes());
     header[8..16].copy_from_slice(&seq.to_le_bytes());
     header[16..24].copy_from_slice(&num_assignments.to_le_bytes());
-    let crc = frame_checksum(&header[0..24]);
-    header[24..32].copy_from_slice(&crc.to_le_bytes());
+    let checksum = frame_checksum(&header[0..24]);
+    header[24..32].copy_from_slice(&checksum.to_le_bytes());
     header
 }
 

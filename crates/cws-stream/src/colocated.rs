@@ -140,7 +140,7 @@ impl ColocatedStreamSampler {
     /// The colocated summary must retain the full weight vector of every
     /// candidate key, so records are re-materialized as rows through a
     /// reused scratch buffer; the batch form exists so columnar producers
-    /// (generators, the sharded pipeline's data layer) can feed this
+    /// (generators, the pipeline's aggregation stage) can feed this
     /// sampler without building their own row views.
     ///
     /// # Errors

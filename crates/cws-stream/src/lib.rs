@@ -15,15 +15,13 @@
 //! * [`MultiAssignmentStreamSampler`] — the hash-once hot path: one pass over
 //!   `(key, weight-vector)` records that hashes each key once and fans the
 //!   rank computation out across all assignments, producing a dispersed
-//!   summary bit-identical to per-assignment processing.
+//!   summary bit-identical to per-assignment processing. With several
+//!   workers, column pushes split the assignments over scoped threads.
 //! * [`ColocatedStreamSampler`] — a single pass over `(key, weight-vector)`
 //!   records that embeds one bottom-k sample per assignment and retains the
 //!   full weight vector of every candidate key.
 //! * [`merge`] — mergeability: sketches computed over disjoint partitions of
 //!   the keys (e.g. different routers) combine into the sketch of the union.
-//! * [`sharded`] — parallel ingestion: keys partitioned by hash across
-//!   `std::thread` workers with per-shard candidate sets, merged bit-exactly
-//!   at finalize.
 //!
 //! Streams are assumed to be *aggregated*: each key appears at most once per
 //! assignment (as in the paper's model where per-key weights, such as flow
@@ -41,7 +39,6 @@ pub mod dispersed;
 pub mod merge;
 pub mod multi;
 pub mod poisson;
-pub mod sharded;
 
 pub use bottomk::BottomKStreamSampler;
 pub use colocated::ColocatedStreamSampler;
@@ -52,7 +49,6 @@ pub use merge::{
 };
 pub use multi::MultiAssignmentStreamSampler;
 pub use poisson::PoissonStreamSampler;
-pub use sharded::ShardedDispersedSampler;
 
 /// Commonly used items.
 pub mod prelude {
@@ -65,5 +61,4 @@ pub mod prelude {
     };
     pub use crate::multi::MultiAssignmentStreamSampler;
     pub use crate::poisson::PoissonStreamSampler;
-    pub use crate::sharded::ShardedDispersedSampler;
 }

@@ -7,27 +7,25 @@
 //!   store recoverable to the last good epoch bit-exactly;
 //! * a worker panic mid-epoch degrades serving loudly (typed cause, last
 //!   good snapshot still served) and recovery is bit-exact;
-//! * a stalled shard surfaces a typed timeout, never a hang;
 //! * the codec round-trips bit-exactly through hostile I/O (1-byte-at-a-
 //!   time, `ErrorKind::Interrupted` noise);
 //! * `.quarantined` forensics files stay bounded by the store's retention
 //!   under sustained rot;
 //! * a multi-seed stress run (`CWS_FAULT_SEEDS=1,2,3 …`) injects
-//!   plan-scheduled faults and proves respawn + re-ingest always converges
-//!   to the undisturbed summary — then rots one plan-chosen byte at rest
-//!   and proves the scrubber catches it.
+//!   plan-scheduled worker panics and proves re-ingesting into a fresh
+//!   same-seed sampler always converges to the undisturbed summary — then
+//!   rots one plan-chosen byte at rest and proves the scrubber catches it.
 
 use std::io::ErrorKind;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use coordinated_sampling::core::fault::{
     FailingWriter, InterruptingReader, InterruptingWriter, ShortReader, ShortWriter,
 };
 use coordinated_sampling::prelude::*;
-use coordinated_sampling::stream::sharded::ShardedDispersedSampler;
+use coordinated_sampling::stream::MultiAssignmentStreamSampler;
 use cws_engine::store::{Scrubber, SnapshotStore};
 
 /// A fresh scratch directory under the OS temp dir (no tempfile crate in
@@ -136,7 +134,7 @@ fn worker_panic_mid_epoch_keeps_serving_and_recovers_bit_exactly() {
     for key in 0..80u64 {
         epochs.push_record(key, &[1.0, 1.0]).unwrap();
     }
-    epochs.inject_worker_fault(2, WorkerFault::Panic).unwrap();
+    epochs.inject_worker_fault(1, WorkerFault::Panic).unwrap();
     ingest_epoch(&mut epochs, true);
     let err = epochs.publish_into(&mut store).unwrap_err();
     assert!(matches!(err, CwsError::ShardWorkerPanicked { .. }), "{err:?}");
@@ -144,7 +142,7 @@ fn worker_panic_mid_epoch_keeps_serving_and_recovers_bit_exactly() {
     // Degraded-mode serving: the last good snapshot still answers.
     assert_eq!(epochs.latest().unwrap(), good.summary);
     let state = epochs.degraded().expect("the failed publish must be surfaced");
-    assert!(matches!(state.reason, CwsError::ShardWorkerPanicked { shard: 2, .. }));
+    assert!(matches!(state.reason, CwsError::ShardWorkerPanicked { shard: 1, .. }));
     assert_eq!(state.failed_publishes, 1);
     assert!(state.records_lost > 0);
     assert_eq!(store.epochs().unwrap(), vec![1], "no torn epoch reaches the store");
@@ -170,40 +168,6 @@ fn worker_panic_mid_epoch_keeps_serving_and_recovers_bit_exactly() {
     restarted.resume_from(epoch, Arc::clone(&from_disk));
     assert_eq!(restarted.latest().unwrap(), from_disk);
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// A stalled shard produces a typed `ShardStalled` within the configured
-/// timeout — never a hang — and the stall is transient: once the worker
-/// wakes, the same push succeeds and finalize completes.
-#[test]
-fn stalled_shard_times_out_typed_and_recovers() {
-    let config = coordinated_sampling::core::summary::SummaryConfig::new(
-        8,
-        RankFamily::Ipps,
-        CoordinationMode::SharedSeed,
-        19,
-    );
-    let mut sharded = ShardedDispersedSampler::with_batch_capacity(config, 2, 1, 2);
-    sharded.set_stall_timeout(Duration::from_millis(50));
-    sharded.inject_worker_fault(0, WorkerFault::Stall { millis: 400 }).unwrap();
-    let started = std::time::Instant::now();
-    let mut stalled = None;
-    for key in 0..10_000u64 {
-        if let Err(error) = sharded.push_record(key, &[1.0, 2.0]) {
-            stalled = Some(error);
-            break;
-        }
-    }
-    match stalled.expect("the stall must surface as a typed error") {
-        CwsError::ShardStalled { shard: 0, timeout_ms: 50 } => {}
-        other => panic!("unexpected error {other:?}"),
-    }
-    assert!(started.elapsed() < Duration::from_secs(5), "stall detection must be bounded");
-    assert!(sharded.is_healthy(), "a stall is not a death");
-    std::thread::sleep(Duration::from_millis(500));
-    sharded.push_record(1, &[1.0, 2.0]).unwrap();
-    let summary = sharded.finalize().unwrap();
-    assert!(summary.num_distinct_keys() > 0);
 }
 
 /// Satellite: `write_to`/`read_from` driven through 1-byte-at-a-time I/O
@@ -306,14 +270,16 @@ fn quarantined_file_accumulation_is_bounded() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Multi-seed stress: each seed derives a full fault schedule (which shard,
-/// which fault, when) from a [`FaultPlan`]; whatever interleaving results,
-/// respawn + re-ingest must converge to the undisturbed summary bit-exactly.
+/// Multi-seed stress: each seed derives a fault schedule (how many
+/// workers, which one panics, at which record) from a [`FaultPlan`]. The
+/// panic must surface as the typed `ShardWorkerPanicked` from the push that
+/// fires it, every later push and finalize; re-ingesting into a fresh
+/// same-seed sampler must converge to the undisturbed summary bit-exactly.
 ///
 /// CI's stress job widens coverage with `CWS_FAULT_SEEDS=1,2,3,…` in
 /// release mode; the default single seed keeps tier-1 fast.
 #[test]
-fn multi_seed_fault_stress_converges_after_respawn() {
+fn multi_seed_fault_stress_converges_after_reingest() {
     let seeds: Vec<u64> = std::env::var("CWS_FAULT_SEEDS")
         .unwrap_or_else(|_| "1".to_string())
         .split(',')
@@ -321,56 +287,86 @@ fn multi_seed_fault_stress_converges_after_respawn() {
         .map(|s| s.trim().parse().expect("CWS_FAULT_SEEDS must be comma-separated integers"))
         .collect();
 
+    const ASSIGNMENTS: usize = 5;
     let config = coordinated_sampling::core::summary::SummaryConfig::new(
         16,
         RankFamily::Ipps,
         CoordinationMode::SharedSeed,
         21,
     );
-    let records: Vec<(u64, [f64; 2])> =
-        (0..600u64).map(|key| (key, [((key % 13) + 1) as f64, ((key * 3) % 7) as f64])).collect();
-    let mut sequential = coordinated_sampling::stream::MultiAssignmentStreamSampler::new(config, 2);
+    let records: Vec<(u64, [f64; ASSIGNMENTS])> = (0..600u64)
+        .map(|key| {
+            (key, std::array::from_fn(|b| ((key * (b as u64 + 3)) % (11 + b as u64)) as f64))
+        })
+        .collect();
+    let batches: Vec<RecordColumns> = records
+        .chunks(64)
+        .map(|chunk| {
+            let mut batch = RecordColumns::new(ASSIGNMENTS);
+            for (key, weights) in chunk {
+                batch.push(*key, weights);
+            }
+            batch
+        })
+        .collect();
+    let mut sequential = MultiAssignmentStreamSampler::new(config, ASSIGNMENTS);
     for (key, weights) in &records {
         sequential.push_record(*key, weights).unwrap();
     }
-    let expected = sequential.finalize();
+    let expected = sequential.finalize().unwrap();
 
     for &seed in &seeds {
         let mut plan = FaultPlan::new(seed);
-        let shards = 2 + plan.next_below(3) as usize; // 2..=4
-        let inject_at = plan.next_below(records.len() as u64) as usize;
-        let shard = plan.next_below(shards as u64) as usize;
-        let fault = if plan.coin(2) {
-            WorkerFault::Panic
-        } else {
-            WorkerFault::Stall { millis: 50 + plan.next_below(150) }
-        };
+        let workers = 2 + plan.next_below(3) as usize; // 2..=4
+        let inject_at = plan.next_below(batches.len() as u64) as usize;
+        let worker = plan.next_below(workers as u64) as usize;
+        let by_record = plan.coin(2);
 
-        let mut sharded = ShardedDispersedSampler::with_batch_capacity(config, 2, shards, 16);
-        sharded.set_stall_timeout(Duration::from_millis(40));
-        let mut injected = false;
-        let mut disturbed = false;
-        for (index, (key, weights)) in records.iter().enumerate() {
-            if index == inject_at && sharded.inject_worker_fault(shard, fault).is_ok() {
-                injected = true;
+        let mut disturbed =
+            MultiAssignmentStreamSampler::with_workers(config, ASSIGNMENTS, workers);
+        assert_eq!(disturbed.workers(), workers, "seed {seed}");
+        let mut failure = None;
+        for (index, batch) in batches.iter().enumerate() {
+            if index == inject_at {
+                disturbed.inject_worker_fault(worker, WorkerFault::Panic).unwrap();
             }
-            if sharded.push_record(*key, weights).is_err() {
-                disturbed = true;
+            // The armed fault fires on the next push of either shape.
+            let result = if index == inject_at && by_record {
+                let mut row = Vec::new();
+                batch.copy_row_into(0, &mut row);
+                disturbed.push_record(batch.keys()[0], &row)
+            } else {
+                disturbed.push_columns(batch)
+            };
+            match (result, &failure) {
+                (Ok(()), None) => assert!(index < inject_at, "seed {seed}: the fault never fired"),
+                (Err(error), None) => {
+                    assert_eq!(index, inject_at, "seed {seed}: failed before the fault");
+                    match &error {
+                        CwsError::ShardWorkerPanicked { shard, message } => {
+                            assert_eq!(*shard, worker, "seed {seed}");
+                            assert!(message.contains("injected"), "seed {seed}: {message}");
+                        }
+                        other => panic!("seed {seed}: expected a worker panic, got {other:?}"),
+                    }
+                    failure = Some(error);
+                }
+                (Err(error), Some(first)) => assert_eq!(&error, first, "seed {seed}: not sticky"),
+                (Ok(()), Some(_)) => panic!("seed {seed}: a push succeeded after the panic"),
             }
         }
-        assert!(injected, "seed {seed}: the fault was never delivered");
-        // Whether or not the interleaving surfaced an error before the end
-        // of the stream, the recovery route is identical: respawn (a
-        // deterministic rebuild) and re-ingest from the durable source.
-        let _ = disturbed;
-        sharded.respawn();
-        assert!(sharded.is_healthy(), "seed {seed}");
-        for (key, weights) in &records {
-            sharded.push_record(*key, weights).unwrap();
+        let failure = failure.expect("the planned fault must fire");
+        assert_eq!(disturbed.finalize().unwrap_err(), failure, "seed {seed}");
+
+        // Recovery: re-ingest the durable source into a fresh same-seed
+        // sampler with the same worker count.
+        let mut fresh = MultiAssignmentStreamSampler::with_workers(config, ASSIGNMENTS, workers);
+        for batch in &batches {
+            fresh.push_columns(batch).unwrap();
         }
-        let recovered = sharded
+        let recovered = fresh
             .finalize()
-            .unwrap_or_else(|error| panic!("seed {seed}: post-respawn finalize failed: {error:?}"));
+            .unwrap_or_else(|error| panic!("seed {seed}: re-ingest finalize failed: {error:?}"));
         assert_eq!(recovered, expected, "seed {seed}: recovery must be bit-exact");
 
         // Scrub phase: persist the recovered epoch, rot one plan-chosen

@@ -15,8 +15,6 @@
 //!   ingestion, for both layouts, both rank families, sequential and
 //!   sharded execution.
 
-use std::sync::Arc;
-
 use coordinated_sampling::data::synthetic::{correlated_zipf, element_stream};
 use coordinated_sampling::prelude::*;
 
@@ -75,7 +73,7 @@ fn reference(family: RankFamily, mode: CoordinationMode, layout: Layout) -> Summ
             for (key, weights) in data.iter() {
                 sampler.push_record(key, weights).unwrap();
             }
-            Summary::Dispersed(sampler.finalize())
+            Summary::Dispersed(sampler.finalize().unwrap())
         }
     }
 }
@@ -104,11 +102,6 @@ fn run_shape(
                 pipeline.push_columns(&chunk).unwrap();
             }
         }
-        "columns_shared" => {
-            for chunk in data.to_columns().split(190) {
-                pipeline.push_columns_shared(&Arc::new(chunk)).unwrap();
-            }
-        }
         other => panic!("unknown shape {other}"),
     }
     pipeline.finalize().unwrap()
@@ -127,7 +120,7 @@ fn every_configuration_and_call_shape_matches_the_hand_wired_path() {
                 for aggregation in
                     [Aggregation::PreAggregated, Aggregation::SumByKey, Aggregation::MaxByKey]
                 {
-                    for shape in ["record", "batch", "columns", "columns_shared"] {
+                    for shape in ["record", "batch", "columns"] {
                         let got = run_shape(family, mode, layout, execution, aggregation, shape);
                         assert_eq!(
                             got, expected,
@@ -156,31 +149,22 @@ fn sum_by_key_over_fragmented_shuffled_elements_is_bit_identical() {
                 executions.push(Execution::Sharded(2));
             }
             for execution in executions {
-                // Unbounded flush (one zero-copy hand-off batch) and a tiny
-                // threshold (many copied batches) must agree.
-                for flush in [None, Some(97)] {
-                    let mut b =
-                        builder(family, mode, layout, execution).aggregation(Aggregation::SumByKey);
-                    if let Some(records) = flush {
-                        b = b.flush_threshold(records);
-                    }
-                    let mut pipeline = b.build().unwrap();
-                    // Half the stream element by element, half in batches —
-                    // the two element surfaces must compose bit-exactly.
-                    let (scalar_half, batched_half) = elements.split_at(elements.len() / 2);
-                    for &(key, assignment, fragment) in scalar_half {
-                        pipeline.push_element(key, assignment, fragment).unwrap();
-                    }
-                    for batch in batched_half.chunks(1013) {
-                        pipeline.push_elements(batch).unwrap();
-                    }
-                    assert_eq!(pipeline.processed(), elements.len() as u64);
-                    let got = pipeline.finalize().unwrap();
-                    assert_eq!(
-                        got, expected,
-                        "{family:?}/{mode:?} {layout:?} {execution:?} flush {flush:?}"
-                    );
+                let mut pipeline = builder(family, mode, layout, execution)
+                    .aggregation(Aggregation::SumByKey)
+                    .build()
+                    .unwrap();
+                // Half the stream element by element, half in batches — the
+                // two element surfaces must compose bit-exactly.
+                let (scalar_half, batched_half) = elements.split_at(elements.len() / 2);
+                for &(key, assignment, fragment) in scalar_half {
+                    pipeline.push_element(key, assignment, fragment).unwrap();
                 }
+                for batch in batched_half.chunks(1013) {
+                    pipeline.push_elements(batch).unwrap();
+                }
+                assert_eq!(pipeline.processed(), elements.len() as u64);
+                let got = pipeline.finalize().unwrap();
+                assert_eq!(got, expected, "{family:?}/{mode:?} {layout:?} {execution:?}");
             }
         }
     }

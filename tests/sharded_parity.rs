@@ -1,18 +1,15 @@
-//! Bit-exactness of the ingestion engine (ISSUE 2 tentpole, extended by
-//! ISSUE 3's structure-of-arrays routes): the hash-once multi-assignment
-//! sampler and the sharded parallel engine must produce summaries
-//! **bit-identical** to sequential per-assignment ingestion and to the
-//! offline builder, for every rank family, dispersable coordination mode,
-//! shard count, ingestion API (per-record, partitioned columns, zero-copy
-//! shared columns) and arrival order.
+//! Bit-exactness of the ingestion engine: the hash-once multi-assignment
+//! sampler, sequential or with its assignments split over worker threads
+//! (`Execution::Sharded(n)`), must produce summaries **bit-identical** to
+//! sequential per-assignment ingestion and to the offline builder, for
+//! every rank family, dispersable coordination mode, worker count,
+//! ingestion API (per-record, one column batch, chunked column batches)
+//! and arrival order.
 
 mod common;
 
-use std::sync::Arc;
-
 use common::{arb_multiweighted, case_rng, shuffle, MASTER_SEED};
 use coordinated_sampling::prelude::*;
-use coordinated_sampling::stream::sharded::ShardedDispersedSampler;
 use coordinated_sampling::stream::{DispersedStreamSampler, MultiAssignmentStreamSampler};
 use cws_core::columns::RecordColumns;
 use cws_hash::RandomSource;
@@ -47,6 +44,24 @@ fn assert_bit_identical(a: &DispersedSummary, b: &DispersedSummary, context: &st
     }
 }
 
+/// A dispersed pipeline over `config` with `shards` workers.
+fn sharded_pipeline(config: &SummaryConfig, assignments: usize, shards: usize) -> Pipeline {
+    Pipeline::builder()
+        .assignments(assignments)
+        .k(config.k)
+        .rank(config.family)
+        .coordination(config.mode)
+        .layout(Layout::Dispersed)
+        .execution(Execution::Sharded(shards))
+        .seed(config.seed)
+        .build()
+        .unwrap()
+}
+
+fn finalize_dispersed(pipeline: Pipeline) -> DispersedSummary {
+    pipeline.finalize().unwrap().as_dispersed().expect("dispersed layout").clone()
+}
+
 /// Shuffled records of a seeded random data set, both as rows and columns.
 fn shuffled_records(case: u64, label: &str) -> (Vec<(Key, Vec<f64>)>, RecordColumns, usize) {
     let rng = &mut case_rng(label, case);
@@ -63,7 +78,7 @@ fn shuffled_records(case: u64, label: &str) -> (Vec<(Key, Vec<f64>)>, RecordColu
 }
 
 /// Sharded ingestion equals sequential hash-once ingestion for every rank
-/// family × coordination mode × shard count × ingestion API, over seeded
+/// family × coordination mode × worker count × ingestion API, over seeded
 /// shuffled streams.
 #[test]
 fn sharded_equals_sequential_for_all_families_and_shard_counts() {
@@ -77,42 +92,38 @@ fn sharded_equals_sequential_for_all_families_and_shard_counts() {
             for (key, weights) in &records {
                 sequential.push_record(*key, weights).unwrap();
             }
-            let expected = sequential.finalize();
+            let expected = sequential.finalize().unwrap();
 
             for shards in SHARD_COUNTS {
                 let context = format!(
                     "case {case}: {:?}/{:?} k={k} shards={shards}",
                     config.family, config.mode
                 );
-                // Per-record route; a small batch capacity forces many
-                // cross-thread flushes and pool recycles.
-                let mut sharded =
-                    ShardedDispersedSampler::with_batch_capacity(config, assignments, shards, 8);
+                // Per-record route (always inline on the caller).
+                let mut sharded = sharded_pipeline(&config, assignments, shards);
                 for (key, weights) in &records {
                     sharded.push_record(*key, weights).unwrap();
                 }
-                assert_bit_identical(&sharded.finalize().unwrap(), &expected, &context);
+                assert_bit_identical(&finalize_dispersed(sharded), &expected, &context);
 
-                // Partitioned-columns route (one borrowed SoA batch).
-                let mut sharded =
-                    ShardedDispersedSampler::with_batch_capacity(config, assignments, shards, 8);
+                // One column batch, split over the workers.
+                let mut sharded = sharded_pipeline(&config, assignments, shards);
                 sharded.push_columns(&columns).unwrap();
                 assert_bit_identical(
-                    &sharded.finalize().unwrap(),
+                    &finalize_dispersed(sharded),
                     &expected,
                     &format!("{context} [columns]"),
                 );
 
-                // Zero-copy shared route (chunked Arc batches).
-                let mut sharded =
-                    ShardedDispersedSampler::with_batch_capacity(config, assignments, shards, 8);
+                // Many small column batches: one split per batch.
+                let mut sharded = sharded_pipeline(&config, assignments, shards);
                 for chunk in columns.split(13) {
-                    sharded.push_columns_shared(&Arc::new(chunk)).unwrap();
+                    sharded.push_columns(&chunk).unwrap();
                 }
                 assert_bit_identical(
-                    &sharded.finalize().unwrap(),
+                    &finalize_dispersed(sharded),
                     &expected,
-                    &format!("{context} [shared]"),
+                    &format!("{context} [chunked columns]"),
                 );
             }
         }
@@ -148,17 +159,18 @@ fn hash_once_equals_per_assignment_and_offline() {
             }
             columnar.push_columns(&columns).unwrap();
             let context = format!("case {case}: {:?}/{:?} k={k}", config.family, config.mode);
-            let once = once.finalize();
+            let once = once.finalize().unwrap();
             assert_bit_identical(&once, &per.finalize(), &context);
             assert_bit_identical(&once, &offline, &context);
-            assert_bit_identical(&once, &columnar.finalize(), &format!("{context} [columns]"));
+            let columnar = columnar.finalize().unwrap();
+            assert_bit_identical(&once, &columnar, &format!("{context} [columns]"));
         }
     }
 }
 
-/// Shard routing never loses or duplicates a record: the shard sizes sum to
-/// the stream length, and the merged summary's union keys all exist in the
-/// input.
+/// Sharded ingestion never loses or duplicates a record: the progress
+/// count equals the stream length, and the summary's union keys all exist
+/// in the input.
 #[test]
 fn sharded_record_accounting() {
     let rng = &mut case_rng("sharded_accounting", 0);
@@ -166,22 +178,23 @@ fn sharded_record_accounting() {
     let assignments = data.num_assignments();
     let config = SummaryConfig::new(8, RankFamily::Ipps, CoordinationMode::SharedSeed, 5);
 
-    let mut sharded = ShardedDispersedSampler::new(config, assignments, 4);
-    for (key, weights) in data.iter() {
-        sharded.push_record(key, weights).unwrap();
-    }
+    let mut sharded = sharded_pipeline(&config, assignments, 4);
+    sharded.push_columns(&data.to_columns()).unwrap();
     assert_eq!(sharded.processed(), data.num_keys() as u64);
-    let summary = sharded.finalize().unwrap();
+    for (key, weights) in data.iter() {
+        sharded.push_record(key + 1_000_000, weights).unwrap();
+    }
+    assert_eq!(sharded.processed(), 2 * data.num_keys() as u64);
+    let summary = finalize_dispersed(sharded);
     for key in summary.union_keys() {
+        let key = key % 1_000_000;
         assert!((key as usize) < data.num_keys(), "unknown key {key} in summary");
     }
 }
 
 /// A panicking worker surfaces as [`CwsError::ShardWorkerPanicked`] from
-/// finalize — never a hang, never a poisoned join. Pushes to the dead shard
-/// in the meantime are *typed errors*, not silent drops: once the
-/// supervision layer detects the death, the failing push reports it and the
-/// record is cleanly rejected.
+/// the push that fires it, every later push and finalize — never a hang,
+/// never a silently dropped record.
 #[test]
 fn injected_worker_panic_is_reported_on_finalize() {
     let rng = &mut case_rng("sharded_panic", 0);
@@ -189,27 +202,25 @@ fn injected_worker_panic_is_reported_on_finalize() {
     let assignments = data.num_assignments();
     let config = SummaryConfig::new(8, RankFamily::Ipps, CoordinationMode::SharedSeed, 5);
 
-    let mut sharded = ShardedDispersedSampler::with_batch_capacity(config, assignments, 3, 4);
+    // Three workers, or one per assignment when there are fewer.
+    let last_worker = 3.min(assignments) - 1;
+    let mut sharded = sharded_pipeline(&config, assignments, 3);
     let records: Vec<(Key, Vec<f64>)> =
         data.iter().map(|(key, weights)| (key, weights.to_vec())).collect();
-    for (key, weights) in records.iter().take(50) {
+    let healthy = records.len() / 2;
+    for (key, weights) in &records[..healthy] {
         sharded.push_record(*key, weights).unwrap();
     }
-    sharded.inject_worker_fault(2, WorkerFault::Panic).unwrap();
-    for (key, weights) in records.iter().skip(50) {
-        // The worker dies asynchronously: pushes may succeed (buffered or
-        // routed elsewhere) or fail with the typed cause — never panic,
-        // never drop silently.
-        if let Err(error) = sharded.push_record(*key, weights) {
-            assert!(
-                matches!(error, CwsError::ShardWorkerPanicked { shard: 2, .. }),
-                "unexpected push error {error:?}"
-            );
+    sharded.inject_worker_fault(last_worker, WorkerFault::Panic).unwrap();
+    for (key, weights) in &records[healthy..] {
+        match sharded.push_record(*key, weights) {
+            Err(CwsError::ShardWorkerPanicked { shard, .. }) => assert_eq!(shard, last_worker),
+            other => panic!("expected a worker panic, got {other:?}"),
         }
     }
     match sharded.finalize() {
         Err(CwsError::ShardWorkerPanicked { shard, message }) => {
-            assert_eq!(shard, 2);
+            assert_eq!(shard, last_worker);
             assert!(message.contains("injected"), "{message}");
         }
         other => panic!("expected a shard-worker panic report, got {other:?}"),

@@ -9,7 +9,7 @@
 //! * a crash at **every truncation point** of every surviving journal
 //!   segment recovers to the last durable snapshot and replays the clean
 //!   prefix of the tail, bit-identical to the undisturbed run;
-//! * a **single flipped bit** at every byte offset is detected (CRC or
+//! * a **single flipped bit** at every byte offset is detected (checksum or
 //!   structural validation), never silently ingested — recovery still
 //!   converges bit-exactly after the lost suffix is re-offered;
 //! * recovery is **idempotent** for both layers (snapshot store and
@@ -176,7 +176,7 @@ fn crash_at_every_truncation_point_recovers_bit_exactly() {
 }
 
 /// A single flipped bit at **every byte offset** — segment header, frame
-/// length, frame CRC, epoch tag, key and weight bytes — is detected and
+/// length, frame checksum, epoch tag, key and weight bytes — is detected and
 /// contained: the corrupt frame and everything after it are dropped, never
 /// ingested, and recovery still converges bit-exactly.
 #[test]
