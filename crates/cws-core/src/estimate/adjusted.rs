@@ -158,8 +158,8 @@ impl AdjustedWeights {
     ///
     /// Summed with an explicit `+0.0` seed (not `Iterator::sum`, whose
     /// identity is `-0.0`) so that every fold in the workspace — here, the
-    /// query fold, the batch executor — produces bit-identical totals,
-    /// including `+0.0` for an empty summary.
+    /// engine's query executor — produces bit-identical totals, including
+    /// `+0.0` for an empty summary.
     #[must_use]
     pub fn total(&self) -> f64 {
         self.entries.iter().fold(0.0, |acc, &(_, value)| acc + value)

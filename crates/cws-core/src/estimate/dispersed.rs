@@ -272,6 +272,13 @@ impl<'a> DispersedEstimator<'a> {
     /// # Errors
     /// Returns an error for independent sketches or invalid assignment sets.
     pub fn l1(&self, assignments: &[usize], kind: SelectionKind) -> Result<AdjustedWeights> {
+        self.validate_assignments(assignments)?;
+        if !self.coordinated() {
+            return Err(CwsError::UnsupportedEstimator {
+                estimator: "l1",
+                reason: "requires coordinated (consistent) sketches",
+            });
+        }
         let max = self.max(assignments)?;
         let min = self.min(assignments, kind)?;
         Ok(AdjustedWeights::difference(&max, &min))
@@ -526,6 +533,27 @@ mod tests {
             est.lth_largest(&[0, 1], 3, SelectionKind::SSet),
             Err(CwsError::InvalidDependenceOrder { .. })
         ));
+    }
+
+    /// An unsupported L1 names itself, not the `max` half it is built from.
+    #[test]
+    fn independent_l1_reports_its_own_estimator() {
+        let data = fixture(100, 2);
+        let independent =
+            DispersedSummary::build(&data, &config(CoordinationMode::Independent, 10));
+        let est = DispersedEstimator::new(&independent);
+        for kind in [SelectionKind::SSet, SelectionKind::LSet] {
+            assert!(matches!(
+                est.l1(&[0, 1], kind),
+                Err(CwsError::UnsupportedEstimator { estimator: "l1", .. })
+            ));
+        }
+        assert!(matches!(
+            est.max(&[0, 1]),
+            Err(CwsError::UnsupportedEstimator { estimator: "max", .. })
+        ));
+        // Invalid sets still surface as validation errors first.
+        assert!(matches!(est.l1(&[], SelectionKind::LSet), Err(CwsError::EmptyAssignmentSet)));
     }
 
     #[test]

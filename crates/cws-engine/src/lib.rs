@@ -18,9 +18,11 @@
 //!   coordination, [`Layout`], [`Execution`], [`Aggregation`]) and, for
 //!   unaggregated element streams, inserts a hash-based pre-aggregation
 //!   stage ([`aggregation::KeyAggregator`]) in front of the samplers.
-//! * [`Query`] / [`Estimate`] — one query object evaluated uniformly
-//!   against colocated and dispersed summaries (the unified [`Summary`]),
-//!   replacing the per-estimator method soup.
+//! * [`QueryBatch`] / [`Query`] → [`EstimateReport`] — one query
+//!   vocabulary ([`QuerySpec`]) evaluated uniformly against colocated and
+//!   dispersed summaries (the unified [`Summary`]) by one planner and
+//!   executor. A batch shares each adjusted-weight pass among all its
+//!   specs; a [`Query`] is a one-spec batch.
 //!
 //! # Quick example
 //!
@@ -64,7 +66,7 @@ pub use continuous::{DegradedState, Drift, EpochReport, EpochedPipeline, Windowe
 pub use ingest::Ingest;
 pub use pipeline::{Execution, Layout, Pipeline, PipelineBuilder};
 pub use plan::{AggregateSpec, QueryBatch, QueryPlan, QuerySpec};
-pub use query::{Estimate, EstimateReport, Query, DEADLINE_CHECK_STRIDE};
+pub use query::{EstimateReport, Query, DEADLINE_CHECK_STRIDE};
 pub use store::{QuarantinedSnapshot, RecoveryReport, ScrubReport, Scrubber, SnapshotStore};
 pub use summary::Summary;
 pub use wal::{
@@ -81,7 +83,7 @@ pub mod prelude {
     pub use crate::ingest::Ingest;
     pub use crate::pipeline::{Execution, Layout, Pipeline, PipelineBuilder};
     pub use crate::plan::{AggregateSpec, QueryBatch, QueryPlan, QuerySpec};
-    pub use crate::query::{Estimate, EstimateReport, Query, DEADLINE_CHECK_STRIDE};
+    pub use crate::query::{EstimateReport, Query, DEADLINE_CHECK_STRIDE};
     pub use crate::store::{
         QuarantinedSnapshot, RecoveryReport, ScrubReport, Scrubber, SnapshotStore,
     };

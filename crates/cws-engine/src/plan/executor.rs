@@ -1,12 +1,14 @@
-//! Executes a planned [`QueryBatch`] against one summary snapshot.
+//! Executes planned [`QuerySpec`]s against one summary snapshot — the only
+//! evaluation path of the engine: a [`QueryBatch`](crate::plan::QueryBatch)
+//! runs here, and a single [`Query`](crate::query::Query) runs here as a
+//! one-spec batch.
 //!
 //! Per kernel, the adjusted weights are computed **once** and folded
 //! **once**; every spec reading the kernel gets its accumulators updated
 //! from the same entry stream, in entry order. Each accumulator therefore
-//! sees exactly the f64 additions, in exactly the order, that a standalone
-//! [`Query::evaluate`](crate::query::Query::evaluate) of the same spec
-//! would perform — which is what makes batch results bit-identical to
-//! sequential evaluation (`tests/planner_parity.rs` pins this on both
+//! sees exactly the f64 additions, in exactly the order, of
+//! [`AdjustedWeights::subset_total`] over the spec's predicate, whatever
+//! else shares the batch (`tests/planner_parity.rs` pins this on both
 //! layouts).
 //!
 //! On colocated summaries the sharing goes one level deeper: the inclusion
@@ -15,14 +17,17 @@
 //! computed per batch and reused by every colocated kernel
 //! ([`InclusiveEstimator::aggregate_with`]).
 
+use std::time::Duration;
+
+use cws_core::aggregates::AggregateFn;
 use cws_core::budget::Deadline;
 use cws_core::estimate::adjusted::AdjustedWeights;
 use cws_core::variance::{ht_variance_component, normal_ci, Z_95};
 use cws_core::{CwsError, DispersedEstimator, InclusiveEstimator, Result};
 
-use crate::plan::ir::QueryBatch;
-use crate::plan::planner::{Binding, Kernel, KernelKind, Role};
-use crate::query::{validate_stride, EstimateReport};
+use crate::plan::ir::QuerySpec;
+use crate::plan::planner::{Binding, Kernel, QueryPlan, Role};
+use crate::query::{EstimateReport, DEADLINE_CHECK_STRIDE};
 use crate::summary::Summary;
 
 /// Per-spec accumulator state, fanned out to during kernel folds.
@@ -43,11 +48,10 @@ struct SpecState {
     observed: usize,
 }
 
-/// Computes one kernel's adjusted weights, routed exactly as
-/// [`Query::adjusted_weights`](crate::query::Query::adjusted_weights)
-/// routes the equivalent aggregate. `shared_probs` caches the colocated
-/// probability pass across kernels of the same batch.
-fn kernel_weights(
+/// Computes one kernel's adjusted weights — the engine's one estimator
+/// dispatch. `shared_probs` caches the colocated probability pass across
+/// kernels of the same batch.
+pub(crate) fn kernel_weights(
     summary: &Summary,
     kernel: &Kernel,
     shared_probs: &mut Option<Vec<f64>>,
@@ -56,46 +60,54 @@ fn kernel_weights(
         Summary::Colocated(colocated) => {
             let estimator = InclusiveEstimator::new(colocated);
             let probs = shared_probs.get_or_insert_with(|| estimator.inclusion_probabilities());
-            estimator.aggregate_with(&kernel.aggregate_fn(), probs)
+            estimator.aggregate_with(&kernel.aggregate, probs)
         }
         Summary::Dispersed(dispersed) => {
             let estimator = DispersedEstimator::new(dispersed);
-            match kernel.kind {
-                KernelKind::Single(b) => estimator.single(b),
-                KernelKind::Max(a, b) => estimator.max(&[a, b]),
-                KernelKind::Min(a, b) => estimator.min(&[a, b], kernel.selection),
-                KernelKind::L1(a, b) => estimator.l1(&[a, b], kernel.selection),
+            let selection = kernel.selection;
+            match &kernel.aggregate {
+                AggregateFn::SingleAssignment(b) => estimator.single(*b),
+                AggregateFn::Max(r) => estimator.max(r),
+                AggregateFn::Min(r) => estimator.min(r, selection),
+                AggregateFn::L1(r) => estimator.l1(r, selection),
+                AggregateFn::LthLargest { assignments, ell } => {
+                    estimator.lth_largest(assignments, *ell, selection)
+                }
             }
         }
     }
 }
 
-pub(crate) fn execute(batch: &QueryBatch, summary: &Summary) -> Result<Vec<EstimateReport>> {
-    let plan = batch.plan()?;
-    let stride = validate_stride(batch.check_stride())?;
-    let deadline = batch.deadline().map(Deadline::after);
-    let check = |deadline: &Option<Deadline>| match deadline {
-        Some(armed) => armed.check("query_batch"),
-        None => Ok(()),
-    };
-    check(&deadline)?;
+/// Plans and executes `specs` against `summary`, one report per spec in
+/// input order. An armed `deadline` is checked before and after every kernel
+/// pass and every [`DEADLINE_CHECK_STRIDE`] folded keys; expiry is reported
+/// as `DeadlineExceeded` under `op`.
+pub(crate) fn execute(
+    specs: &[QuerySpec],
+    deadline: Option<Duration>,
+    summary: &Summary,
+    op: &'static str,
+) -> Result<Vec<EstimateReport>> {
+    let plan = QueryPlan::build(specs)?;
+    let deadline = deadline.map(Deadline::after);
+    let check = || deadline.as_ref().map_or(Ok(()), |armed| armed.check(op));
+    check()?;
 
-    let specs = batch.specs();
     let mut states = vec![SpecState::default(); specs.len()];
     let mut shared_probs: Option<Vec<f64>> = None;
 
     for (slot, kernel) in plan.kernels().iter().enumerate() {
-        check(&deadline)?;
+        check()?;
         let adjusted = kernel_weights(summary, kernel, &mut shared_probs)?;
-        check(&deadline)?;
+        check()?;
         let taps = plan.taps(slot);
         let has_support = adjusted.has_support();
         if !has_support
             && taps.iter().any(|tap| matches!(tap.role, Role::Count | Role::SumAndCount))
         {
             // Unreachable by construction (count-shaped roles only tap
-            // Single kernels, which always retain support), but a typed
-            // error beats a wrong answer if a new kernel kind forgets this.
+            // single-assignment kernels, which always retain support), but a
+            // typed error beats a wrong answer if a new kernel forgets this.
             return Err(CwsError::UnsupportedEstimator {
                 estimator: "count",
                 reason: "the summary pass retained no per-key inclusion probabilities",
@@ -105,79 +117,48 @@ pub(crate) fn execute(batch: &QueryBatch, summary: &Summary) -> Result<Vec<Estim
             states[tap.spec].supported |= matches!(tap.role, Role::Sum) && has_support;
         }
 
-        // One fold, fanned out to every tap. Per accumulator this performs
-        // the same additions in the same (entry) order as a standalone
-        // query fold — see the module docs for why that yields bit-identical
-        // results.
-        let supported = adjusted.supported_iter();
-        match supported {
-            Some(iter) => {
-                for (index, (key, weight, selected)) in iter.enumerate() {
-                    if index % stride == 0 {
-                        check(&deadline)?;
-                    }
-                    for tap in taps {
-                        let spec = &specs[tap.spec];
-                        if spec.predicate().is_none_or(|predicate| predicate(key)) {
-                            let state = &mut states[tap.spec];
-                            match tap.role {
-                                Role::Sum => {
-                                    state.total += weight;
-                                    state.variance +=
-                                        ht_variance_component(selected.value, selected.probability);
-                                    state.observed += 1;
-                                }
-                                Role::Count => {
-                                    state.total += 1.0 / selected.probability;
-                                    state.variance +=
-                                        ht_variance_component(1.0, selected.probability);
-                                    state.observed += 1;
-                                }
-                                Role::SumAndCount => {
-                                    state.total += weight;
-                                    state.aux += 1.0 / selected.probability;
-                                    state.observed += 1;
-                                }
-                                Role::RatioNumerator => {
-                                    state.total += weight;
-                                }
-                                Role::RatioDenominator => {
-                                    state.aux += weight;
-                                    state.observed += 1;
-                                }
-                            }
-                        }
-                    }
-                }
+        // One fold, fanned out to every tap, walking the per-key support in
+        // lockstep when the kernel retained it (every kernel but dispersed
+        // L1).
+        let mut support = adjusted.supported_iter();
+        for (index, (key, weight)) in adjusted.iter().enumerate() {
+            if index % DEADLINE_CHECK_STRIDE == 0 {
+                check()?;
             }
-            None => {
-                // Support-free kernel (dispersed L1): only sum-shaped roles
-                // can reach here.
-                for (index, (key, weight)) in adjusted.iter().enumerate() {
-                    if index % stride == 0 {
-                        check(&deadline)?;
-                    }
-                    for tap in taps {
-                        let spec = &specs[tap.spec];
-                        if spec.predicate().is_none_or(|predicate| predicate(key)) {
-                            let state = &mut states[tap.spec];
-                            match tap.role {
-                                Role::Sum => {
-                                    state.total += weight;
-                                    state.observed += 1;
-                                }
-                                Role::RatioNumerator => {
-                                    state.total += weight;
-                                }
-                                Role::RatioDenominator => {
-                                    state.aux += weight;
-                                    state.observed += 1;
-                                }
-                                Role::Count | Role::SumAndCount => unreachable!(
-                                    "count-shaped roles were rejected above for support-free kernels"
-                                ),
-                            }
+            let selected = support.as_mut().and_then(Iterator::next).map(|(_, _, s)| s);
+            for tap in taps {
+                if !specs[tap.spec].predicate().is_none_or(|predicate| predicate(key)) {
+                    continue;
+                }
+                let state = &mut states[tap.spec];
+                match (tap.role, selected) {
+                    (Role::Sum, _) => {
+                        state.total += weight;
+                        if let Some(selected) = selected {
+                            state.variance +=
+                                ht_variance_component(selected.value, selected.probability);
                         }
+                        state.observed += 1;
+                    }
+                    (Role::Count, Some(selected)) => {
+                        state.total += 1.0 / selected.probability;
+                        state.variance += ht_variance_component(1.0, selected.probability);
+                        state.observed += 1;
+                    }
+                    (Role::SumAndCount, Some(selected)) => {
+                        state.total += weight;
+                        state.aux += 1.0 / selected.probability;
+                        state.observed += 1;
+                    }
+                    (Role::RatioNumerator, _) => state.total += weight,
+                    (Role::RatioDenominator, _) => {
+                        state.aux += weight;
+                        state.observed += 1;
+                    }
+                    (Role::Count | Role::SumAndCount, None) => {
+                        unreachable!(
+                            "count-shaped roles were rejected above for support-free kernels"
+                        )
                     }
                 }
             }

@@ -1,12 +1,11 @@
-//! The batched-query IR: *what* to estimate (aggregate × assignment or
-//! assignment pair), *over which keys* (an optional a-posteriori predicate)
-//! and *with which evidence* (the s-set / l-set selection on dispersed
-//! summaries).
+//! The query IR: *what* to estimate (aggregate × assignment or assignment
+//! set), *over which keys* (an optional a-posteriori predicate) and *with
+//! which evidence* (the s-set / l-set selection on dispersed summaries).
 //!
-//! A [`QueryBatch`] is an ordered list of [`QuerySpec`]s plus batch-wide
-//! execution knobs (deadline, deadline-check stride). Specs are deliberately
-//! declarative — no closures over summaries, no layout knowledge — so the
-//! planner can regroup them freely.
+//! A [`QueryBatch`] is an ordered list of [`QuerySpec`]s plus an optional
+//! deadline. Specs are deliberately declarative — no closures over
+//! summaries, no layout knowledge — so the planner can regroup them freely.
+//! A single [`Query`](crate::query::Query) is a one-spec batch.
 
 use std::fmt;
 use std::sync::Arc;
@@ -16,17 +15,17 @@ use cws_core::{CwsError, Key, Result, SelectionKind};
 
 use crate::plan::executor;
 use crate::plan::planner::QueryPlan;
-use crate::query::{EstimateReport, DEADLINE_CHECK_STRIDE};
+use crate::query::EstimateReport;
 use crate::summary::Summary;
 
 /// The aggregate a [`QuerySpec`] estimates.
 ///
 /// Single-assignment aggregates (`Sum`, `Count`, `Avg`) name one weight
-/// assignment; multi-assignment aggregates (`Max`, `Min`, `L1`, `Jaccard`)
-/// name an *unordered* pair of distinct assignments — the pair is normalized
-/// to `(lo, hi)` at construction and a degenerate pair (`a == a`) is
-/// rejected with a typed error at planning time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// assignment. `Max`, `Min`, `L1` and `LthLargest` name a relevant set `R`,
+/// and `Jaccard` an unordered pair. [`QuerySpec::new`] sorts every set and
+/// normalizes the pair to `(lo, hi)`, so equal sets share one kernel; a
+/// repeated assignment is rejected with a typed error at planning time.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AggregateSpec {
     /// The subpopulation sum `Σ w^(b)(i)`.
     Sum {
@@ -46,20 +45,28 @@ pub enum AggregateSpec {
         /// The weight assignment `b`.
         assignment: usize,
     },
-    /// The max-dominance sum `Σ max(w^(a)(i), w^(b)(i))`.
+    /// The max-dominance sum `Σ max_{b ∈ R} w^(b)(i)`.
     Max {
-        /// The unordered assignment pair, normalized to `(lo, hi)`.
-        pair: (usize, usize),
+        /// The relevant assignments `R`, sorted.
+        assignments: Vec<usize>,
     },
-    /// The min-dominance sum `Σ min(w^(a)(i), w^(b)(i))`.
+    /// The min-dominance sum `Σ min_{b ∈ R} w^(b)(i)`.
     Min {
-        /// The unordered assignment pair, normalized to `(lo, hi)`.
-        pair: (usize, usize),
+        /// The relevant assignments `R`, sorted.
+        assignments: Vec<usize>,
     },
-    /// The L1 difference `Σ |w^(a)(i) − w^(b)(i)|`.
+    /// The L1 / range sum `Σ (max_R − min_R)`; over a pair, `Σ |w^(a) − w^(b)|`.
     L1 {
-        /// The unordered assignment pair, normalized to `(lo, hi)`.
-        pair: (usize, usize),
+        /// The relevant assignments `R`, sorted.
+        assignments: Vec<usize>,
+    },
+    /// The sum of the ℓ-th largest weight over `R` (1-based; `ell = 1` is
+    /// the max, `ell = |R|` the min; the median is a special case).
+    LthLargest {
+        /// The relevant assignments `R`, sorted.
+        assignments: Vec<usize>,
+        /// Which order statistic, counted from the largest.
+        ell: usize,
     },
     /// The weighted Jaccard similarity `Σ min / Σ max` (`0` when the max
     /// total is zero, matching
@@ -72,30 +79,30 @@ pub enum AggregateSpec {
 }
 
 impl AggregateSpec {
-    /// Validates the spec shape: pairs must name two *distinct* assignments.
+    /// Validates the spec shape: sets and pairs must name *distinct*
+    /// assignments (sets are sorted, so a repeat sits next to itself).
     ///
-    /// Out-of-range assignment indices are summary-dependent and therefore
-    /// surface at execution time (as
-    /// [`CwsError::AssignmentOutOfRange`](cws_core::CwsError)), not here.
+    /// Everything summary-dependent — out-of-range indices, an empty set,
+    /// an invalid ℓ, an aggregate the coordination mode cannot support — is
+    /// left to the estimators and surfaces at execution time.
     pub(crate) fn validate(&self) -> Result<()> {
-        match self {
-            Self::Sum { .. } | Self::Count { .. } | Self::Avg { .. } => Ok(()),
-            Self::Max { pair }
-            | Self::Min { pair }
-            | Self::L1 { pair }
-            | Self::Jaccard { pair } => {
-                if pair.0 == pair.1 {
-                    return Err(CwsError::InvalidParameter {
-                        name: "assignment_pair",
-                        message: format!(
-                            "pair aggregates need two distinct assignments, got ({}, {})",
-                            pair.0, pair.1
-                        ),
-                    });
-                }
-                Ok(())
+        let distinct = match self {
+            Self::Sum { .. } | Self::Count { .. } | Self::Avg { .. } => true,
+            Self::Max { assignments }
+            | Self::Min { assignments }
+            | Self::L1 { assignments }
+            | Self::LthLargest { assignments, .. } => {
+                assignments.windows(2).all(|pair| pair[0] != pair[1])
             }
+            Self::Jaccard { pair } => pair.0 != pair.1,
+        };
+        if distinct {
+            return Ok(());
         }
+        Err(CwsError::InvalidParameter {
+            name: "assignment_pair",
+            message: format!("multi-assignment aggregates need distinct assignments, got {self:?}"),
+        })
     }
 }
 
@@ -121,16 +128,22 @@ impl fmt::Debug for QuerySpec {
     }
 }
 
-fn normalize(a: usize, b: usize) -> (usize, usize) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
 impl QuerySpec {
-    fn new(aggregate: AggregateSpec) -> Self {
+    /// A spec for `aggregate`, with the default [`SelectionKind::LSet`] and
+    /// no predicate. Assignment sets are sorted and a Jaccard pair is
+    /// normalized to `(lo, hi)`, so `[2, 0, 1]` and `[0, 1, 2]` build the
+    /// same spec.
+    #[must_use]
+    pub fn new(mut aggregate: AggregateSpec) -> Self {
+        match &mut aggregate {
+            AggregateSpec::Max { assignments }
+            | AggregateSpec::Min { assignments }
+            | AggregateSpec::L1 { assignments }
+            | AggregateSpec::LthLargest { assignments, .. } => assignments.sort_unstable(),
+            AggregateSpec::Jaccard { pair } => *pair = (pair.0.min(pair.1), pair.0.max(pair.1)),
+            AggregateSpec::Sum { .. } | AggregateSpec::Count { .. } | AggregateSpec::Avg { .. } => {
+            }
+        }
         Self { aggregate, selection: SelectionKind::LSet, predicate: None }
     }
 
@@ -156,25 +169,25 @@ impl QuerySpec {
     /// The max-dominance sum over the assignment pair `{a, b}`.
     #[must_use]
     pub fn max(a: usize, b: usize) -> Self {
-        Self::new(AggregateSpec::Max { pair: normalize(a, b) })
+        Self::new(AggregateSpec::Max { assignments: vec![a, b] })
     }
 
     /// The min-dominance sum over the assignment pair `{a, b}`.
     #[must_use]
     pub fn min(a: usize, b: usize) -> Self {
-        Self::new(AggregateSpec::Min { pair: normalize(a, b) })
+        Self::new(AggregateSpec::Min { assignments: vec![a, b] })
     }
 
     /// The L1 difference over the assignment pair `{a, b}`.
     #[must_use]
     pub fn l1(a: usize, b: usize) -> Self {
-        Self::new(AggregateSpec::L1 { pair: normalize(a, b) })
+        Self::new(AggregateSpec::L1 { assignments: vec![a, b] })
     }
 
     /// The weighted Jaccard similarity of the assignment pair `{a, b}`.
     #[must_use]
     pub fn jaccard(a: usize, b: usize) -> Self {
-        Self::new(AggregateSpec::Jaccard { pair: normalize(a, b) })
+        Self::new(AggregateSpec::Jaccard { pair: (a, b) })
     }
 
     /// Restricts the estimate to keys satisfying `predicate` (a-posteriori
@@ -188,8 +201,9 @@ impl QuerySpec {
     }
 
     /// Selection rule for dispersed summaries (default
-    /// [`SelectionKind::LSet`]); ignored by colocated summaries, exactly as
-    /// in [`Query`](crate::query::Query).
+    /// [`SelectionKind::LSet`], the most inclusive). Colocated summaries
+    /// ignore it: their inclusive estimator already conditions on the most
+    /// inclusive selection possible.
     #[must_use]
     pub fn selection(mut self, kind: SelectionKind) -> Self {
         self.selection = kind;
@@ -223,14 +237,13 @@ impl QuerySpec {
 pub struct QueryBatch {
     specs: Vec<QuerySpec>,
     deadline: Option<Duration>,
-    check_stride: usize,
 }
 
 impl QueryBatch {
     /// An empty batch (executing it yields an empty result vector).
     #[must_use]
     pub fn new() -> Self {
-        Self { specs: Vec::new(), deadline: None, check_stride: DEADLINE_CHECK_STRIDE }
+        Self::default()
     }
 
     /// Appends a spec (builder style). Results are returned in push order.
@@ -250,23 +263,13 @@ impl QueryBatch {
     /// Bounds how long one [`QueryBatch::execute`] call may run. The
     /// deadline is armed afresh per execution and checked before every
     /// kernel pass and every
-    /// [`DEADLINE_CHECK_STRIDE`]
-    /// folded keys (see [`QueryBatch::deadline_check_stride`]); expiry is a
-    /// typed [`CwsError::DeadlineExceeded`](cws_core::CwsError) and poisons
+    /// [`DEADLINE_CHECK_STRIDE`](crate::query::DEADLINE_CHECK_STRIDE)
+    /// folded keys; expiry is a typed
+    /// [`CwsError::DeadlineExceeded`](cws_core::CwsError) and poisons
     /// nothing — the summary stays queryable.
     #[must_use]
     pub fn with_deadline(mut self, budget: Duration) -> Self {
         self.deadline = Some(budget);
-        self
-    }
-
-    /// Overrides the deadline-check cadence (default
-    /// [`DEADLINE_CHECK_STRIDE`] folded
-    /// keys — the same constant [`Query`](crate::query::Query) uses). Zero
-    /// is rejected with a typed error at execution time.
-    #[must_use]
-    pub fn deadline_check_stride(mut self, stride: usize) -> Self {
-        self.check_stride = stride;
         self
     }
 
@@ -294,36 +297,29 @@ impl QueryBatch {
         self.deadline
     }
 
-    /// The deadline-check stride.
-    #[must_use]
-    pub fn check_stride(&self) -> usize {
-        self.check_stride
-    }
-
     /// Plans the batch: validates every spec and groups them into shared
     /// summary passes (kernels). Planning is summary-independent — the same
     /// plan shape serves both layouts.
     ///
     /// # Errors
-    /// Returns a typed [`CwsError`] for invalid specs
-    /// (degenerate assignment pairs) or a zero deadline-check stride.
+    /// Returns a typed [`CwsError`] for a spec that repeats an assignment.
     pub fn plan(&self) -> Result<QueryPlan> {
-        QueryPlan::build(self)
+        QueryPlan::build(&self.specs)
     }
 
     /// Plans and executes the batch against `summary`, returning one
-    /// [`EstimateReport`] per spec, in input order — each bit-identical to
-    /// evaluating the spec through [`Query`](crate::query::Query) on its
-    /// own (for the aggregates `Query` can express), with the variance and
+    /// [`EstimateReport`] per spec, in input order, with the variance and
     /// 95% CI filled in where the estimator supports them.
     ///
     /// # Errors
-    /// As [`QueryBatch::plan`]; additionally out-of-range assignments
-    /// (summary-dependent) and
-    /// [`CwsError::DeadlineExceeded`](cws_core::CwsError) once an armed
-    /// [deadline](QueryBatch::with_deadline) expires.
+    /// As [`QueryBatch::plan`]; additionally the estimators' typed errors
+    /// (out-of-range or empty assignment sets, an invalid ℓ, an aggregate
+    /// the coordination mode cannot support) and
+    /// [`CwsError::DeadlineExceeded`](cws_core::CwsError) with op
+    /// `"query_batch"` once an armed [deadline](QueryBatch::with_deadline)
+    /// expires.
     pub fn execute(&self, summary: &Summary) -> Result<Vec<EstimateReport>> {
-        executor::execute(self, summary)
+        executor::execute(&self.specs, self.deadline, summary, "query_batch")
     }
 }
 

@@ -1,30 +1,34 @@
-//! Batched query planning: many aggregates, one pass per shared kernel.
+//! Query planning and execution: many aggregates, one pass per shared
+//! kernel — the engine's only evaluation path.
 //!
 //! The paper's central promise is that *one* coordinated summary answers
 //! *many* aggregates over many weight assignments. This module delivers the
 //! serving side of that promise in three stages:
 //!
 //! 1. **IR** ([`ir`]) — a [`QueryBatch`] of declarative [`QuerySpec`]s:
-//!    sum / count / avg / max / min / L1 / Jaccard, an optional a-posteriori
-//!    key predicate, an assignment (or normalized assignment pair) and the
-//!    dispersed selection rule.
-//! 2. **Planner** ([`planner`]) — groups specs by `(aggregate kernel,
-//!    selection)` into a [`QueryPlan`]; each distinct kernel is one
+//!    sum / count / avg over one assignment, max / min / L1 / ℓ-th largest
+//!    over a sorted assignment set, Jaccard over a normalized pair, each
+//!    with an optional a-posteriori key predicate and the dispersed
+//!    selection rule.
+//! 2. **Planner** ([`planner`]) — groups specs by `(AggregateFn,
+//!    SelectionKind)` into a [`QueryPlan`]; each distinct kernel is one
 //!    adjusted-weight pass, no matter how many specs (with however many
 //!    different predicates) read from it.
 //! 3. **Executor** ([`executor`]) — computes each kernel once (colocated
 //!    kernels additionally share one inclusion-probability pass), folds its
 //!    entries once, and fans every entry out to all reading accumulators.
 //!    Results return as [`EstimateReport`](crate::query::EstimateReport)s in
-//!    input order, bit-identical to one-at-a-time
-//!    [`Query`](crate::query::Query) evaluation, with variance and 95% CI
-//!    where the estimator supports them.
+//!    input order, with variance and 95% CI where the estimator supports
+//!    them.
+//!
+//! A single [`Query`](crate::query::Query) is a one-spec batch through the
+//! same planner and executor.
 //!
 //! Batches honor the governance layer: [`QueryBatch::with_deadline`] arms a
 //! wall-clock budget checked before every kernel and every
 //! [`DEADLINE_CHECK_STRIDE`](crate::query::DEADLINE_CHECK_STRIDE) folded
-//! keys, and invalid specs fail with typed
-//! [`CwsError`](cws_core::CwsError)s before any work is done.
+//! keys, and specs repeating an assignment fail with a typed
+//! [`CwsError`](cws_core::CwsError) before any work is done.
 //!
 //! ```
 //! use cws_engine::prelude::*;

@@ -1,68 +1,41 @@
 //! One query language over both summary layouts.
 //!
 //! The estimator types of `cws-core` grew diverging method sets — the
-//! colocated [`InclusiveEstimator`] takes aggregate enums and custom
-//! closures, the [`DispersedEstimator`] takes per-method assignment slices
-//! plus a selection kind. [`Query`] is the single description of an
-//! estimation request: *what* to estimate (the aggregate), *over which
-//! keys* (an a-posteriori filter predicate), and *how* to select evidence
-//! on dispersed summaries (the s-set / l-set rule). Evaluation dispatches
-//! on the summary layout and returns a typed [`Estimate`].
+//! colocated [`InclusiveEstimator`](cws_core::InclusiveEstimator) takes
+//! aggregate enums and custom closures, the
+//! [`DispersedEstimator`](cws_core::DispersedEstimator) takes per-method
+//! assignment slices plus a selection kind. [`Query`] is the single
+//! description of an estimation request: *what* to estimate (the
+//! aggregate), *over which keys* (an a-posteriori filter predicate), and
+//! *how* to select evidence on dispersed summaries (the s-set / l-set rule).
+//! It holds one [`QuerySpec`] and evaluates as a one-spec
+//! [`QueryBatch`](crate::plan::QueryBatch): the planner and executor are the
+//! only evaluation path, so a query and the same spec inside any batch
+//! return the same [`EstimateReport`].
 
-use std::fmt;
 use std::time::Duration;
 
-use cws_core::aggregates::AggregateFn;
-use cws_core::budget::Deadline;
 use cws_core::estimate::adjusted::AdjustedWeights;
-use cws_core::variance::{ht_variance_component, normal_ci, ConfidenceInterval, Z_95};
-use cws_core::{CwsError, DispersedEstimator, InclusiveEstimator, Key, Result, SelectionKind};
+use cws_core::variance::ConfidenceInterval;
+use cws_core::{Key, Result, SelectionKind};
 
+use crate::plan::executor;
+use crate::plan::ir::{AggregateSpec, QuerySpec};
+use crate::plan::QueryPlan;
 use crate::summary::Summary;
 
-/// How many folded keys pass between wall-clock deadline checks by default,
-/// during both [`Query::evaluate`] and batched execution
-/// ([`crate::plan::QueryBatch`]).
+/// How many folded keys pass between wall-clock deadline checks, in
+/// [`Query::evaluate`] and batched execution alike.
 ///
 /// The check itself is one `Instant::now()` comparison; at this stride its
 /// cost is amortized to noise while an armed deadline is still noticed
-/// within ~a thousand predicate evaluations. Override per query with
-/// [`Query::deadline_check_stride`] (or per batch with
-/// [`crate::plan::QueryBatch::deadline_check_stride`]) when folds are
-/// unusually expensive (check more often) or unusually hot (check less
-/// often).
+/// within ~a thousand predicate evaluations.
 pub const DEADLINE_CHECK_STRIDE: usize = 1024;
 
-/// Rejects a zero deadline-check stride with a typed error.
-pub(crate) fn validate_stride(stride: usize) -> Result<usize> {
-    if stride == 0 {
-        return Err(CwsError::InvalidParameter {
-            name: "deadline_check_stride",
-            message: "must be positive (the number of folded keys between deadline checks)".into(),
-        });
-    }
-    Ok(stride)
-}
-
-/// The outcome of evaluating a [`Query`] against a [`Summary`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Estimate {
-    /// The unbiased estimate of `Σ_{i : filter(i)} f(i)`.
-    pub value: f64,
-    /// Number of sampled keys that contributed to the estimate (positive
-    /// adjusted weight and passing the filter) — a direct sense of how much
-    /// evidence backs the number.
-    pub observed_keys: usize,
-}
-
-/// An [`Estimate`] extended with uncertainty: the HT plug-in variance
-/// estimate and the 95% normal-approximation confidence interval.
-///
-/// Produced by [`Query::evaluate_with_variance`] and by batched execution
-/// ([`crate::plan::QueryBatch`]). `value` and `observed_keys` are
-/// bit-identical to what [`Query::evaluate`] returns for the same query —
-/// the variance is an additional read of the same per-key support, not a
-/// different estimator.
+/// The outcome of evaluating a [`Query`] or one spec of a
+/// [`QueryBatch`](crate::plan::QueryBatch): the estimate, the evidence
+/// behind it, and its uncertainty — the HT plug-in variance estimate and
+/// the 95% normal-approximation confidence interval.
 ///
 /// `variance`/`ci95` are `None` when the estimator carries no per-key
 /// inclusion probabilities: dispersed L1 (a difference of correlated max/min
@@ -72,85 +45,16 @@ pub struct Estimate {
 pub struct EstimateReport {
     /// The unbiased estimate of `Σ_{i : filter(i)} f(i)`.
     pub value: f64,
-    /// Number of sampled keys that contributed to the estimate.
+    /// Number of sampled keys that contributed to the estimate (positive
+    /// adjusted weight and passing the filter) — a direct sense of how much
+    /// evidence backs the number.
     pub observed_keys: usize,
     /// The HT plug-in estimate of `VAR[value]`
     /// (`Σ f(i)²(1/p(i) − 1)/p(i)` over contributing keys), when available.
     pub variance: Option<f64>,
-    /// `value ± `[`Z_95`]`·√variance`, when the variance is available.
+    /// `value ± `[`Z_95`](cws_core::Z_95)`·√variance`, when the variance is
+    /// available.
     pub ci95: Option<ConfidenceInterval>,
-}
-
-impl EstimateReport {
-    /// The plain [`Estimate`] part of the report.
-    #[must_use]
-    pub fn estimate(&self) -> Estimate {
-        Estimate { value: self.value, observed_keys: self.observed_keys }
-    }
-}
-
-/// Folds an adjusted-weight summary into an [`EstimateReport`]: the filtered
-/// total, the contributing-key count and (when `with_variance` and the
-/// summary retains support) the plug-in variance, checking `deadline` every
-/// `stride` folded keys.
-///
-/// This is the single fold implementation behind [`Query::evaluate`],
-/// [`Query::evaluate_with_variance`] and the batch executor — the `value`
-/// accumulator sees the same f64 additions in the same order in every mode,
-/// which is what makes the three bit-identical.
-pub(crate) fn fold_report(
-    adjusted: &AdjustedWeights,
-    filter: Option<&dyn Fn(Key) -> bool>,
-    deadline: Option<&Deadline>,
-    stride: usize,
-    with_variance: bool,
-) -> Result<EstimateReport> {
-    debug_assert!(stride > 0, "stride must be validated before folding");
-    let check = |deadline: Option<&Deadline>| match deadline {
-        Some(armed) => armed.check("query"),
-        None => Ok(()),
-    };
-    let (value, observed_keys, variance) = match filter {
-        Some(predicate) => {
-            let mut total = 0.0;
-            let mut count = 0usize;
-            let supported = if with_variance { adjusted.supported_iter() } else { None };
-            match supported {
-                Some(iter) => {
-                    let mut variance = 0.0;
-                    for (index, (key, weight, selected)) in iter.enumerate() {
-                        if index % stride == 0 {
-                            check(deadline)?;
-                        }
-                        if predicate(key) {
-                            total += weight;
-                            variance += ht_variance_component(selected.value, selected.probability);
-                            count += 1;
-                        }
-                    }
-                    (total, count, Some(variance))
-                }
-                None => {
-                    for (index, (key, weight)) in adjusted.iter().enumerate() {
-                        if index % stride == 0 {
-                            check(deadline)?;
-                        }
-                        if predicate(key) {
-                            total += weight;
-                            count += 1;
-                        }
-                    }
-                    (total, count, None)
-                }
-            }
-        }
-        None => {
-            let variance = if with_variance { adjusted.variance_total() } else { None };
-            (adjusted.total(), adjusted.len(), variance)
-        }
-    };
-    let ci95 = variance.map(|v| normal_ci(value, v, Z_95));
-    Ok(EstimateReport { value, observed_keys, variance, ci95 })
 }
 
 /// A declarative aggregate query, evaluated uniformly against colocated and
@@ -180,74 +84,54 @@ pub(crate) fn fold_report(
 /// assert!(estimate.value > 0.0);
 /// assert!(estimate.observed_keys > 0);
 /// ```
+#[derive(Debug, Clone)]
 pub struct Query {
-    aggregate: AggregateFn,
-    selection: SelectionKind,
-    filter: Option<Box<dyn Fn(Key) -> bool>>,
+    spec: QuerySpec,
     deadline: Option<Duration>,
-    check_stride: usize,
-}
-
-impl fmt::Debug for Query {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Query")
-            .field("aggregate", &self.aggregate)
-            .field("selection", &self.selection)
-            .field("filter", &self.filter.as_ref().map(|_| "<predicate>"))
-            .field("deadline", &self.deadline)
-            .field("check_stride", &self.check_stride)
-            .finish()
-    }
 }
 
 impl Query {
-    fn new(aggregate: AggregateFn) -> Self {
-        Self {
-            aggregate,
-            selection: SelectionKind::LSet,
-            filter: None,
-            deadline: None,
-            check_stride: DEADLINE_CHECK_STRIDE,
-        }
+    fn new(aggregate: AggregateSpec) -> Self {
+        Self { spec: QuerySpec::new(aggregate), deadline: None }
     }
 
     /// The single-assignment sum `Σ w^(b)(i)`.
     #[must_use]
     pub fn single(assignment: usize) -> Self {
-        Self::new(AggregateFn::SingleAssignment(assignment))
+        Self::new(AggregateSpec::Sum { assignment })
     }
 
     /// The max-dominance aggregate `Σ max_{b ∈ R} w^(b)(i)`.
     #[must_use]
     pub fn max<R: IntoIterator<Item = usize>>(assignments: R) -> Self {
-        Self::new(AggregateFn::Max(assignments.into_iter().collect()))
+        Self::new(AggregateSpec::Max { assignments: assignments.into_iter().collect() })
     }
 
     /// The min-dominance aggregate `Σ min_{b ∈ R} w^(b)(i)`.
     #[must_use]
     pub fn min<R: IntoIterator<Item = usize>>(assignments: R) -> Self {
-        Self::new(AggregateFn::Min(assignments.into_iter().collect()))
+        Self::new(AggregateSpec::Min { assignments: assignments.into_iter().collect() })
     }
 
     /// The L1 / range aggregate `Σ (max_R − min_R)`.
     #[must_use]
     pub fn l1<R: IntoIterator<Item = usize>>(assignments: R) -> Self {
-        Self::new(AggregateFn::L1(assignments.into_iter().collect()))
+        Self::new(AggregateSpec::L1 { assignments: assignments.into_iter().collect() })
     }
 
     /// The ℓ-th-largest-weight aggregate (1-based; `ell = 1` is the max,
     /// `ell = |R|` the min; the median is a special case).
     #[must_use]
     pub fn lth_largest<R: IntoIterator<Item = usize>>(assignments: R, ell: usize) -> Self {
-        Self::new(AggregateFn::LthLargest { assignments: assignments.into_iter().collect(), ell })
+        Self::new(AggregateSpec::LthLargest { assignments: assignments.into_iter().collect(), ell })
     }
 
     /// Restricts the estimate to keys satisfying `predicate` — the
     /// a-posteriori subpopulation selection that coordinated summaries
     /// exist for. Without a filter the full population is estimated.
     #[must_use]
-    pub fn filter<P: Fn(Key) -> bool + 'static>(mut self, predicate: P) -> Self {
-        self.filter = Some(Box::new(predicate));
+    pub fn filter<P: Fn(Key) -> bool + Send + Sync + 'static>(mut self, predicate: P) -> Self {
+        self.spec = self.spec.filter(predicate);
         self
     }
 
@@ -257,40 +141,21 @@ impl Query {
     /// most inclusive selection possible.
     #[must_use]
     pub fn selection(mut self, kind: SelectionKind) -> Self {
-        self.selection = kind;
+        self.spec = self.spec.selection(kind);
         self
     }
 
     /// Bounds how long one [`Query::evaluate`] call may run. The deadline
     /// is armed afresh at each evaluation and checked at chunk boundaries
-    /// (before estimation, after adjusted weights, and every
-    /// [`DEADLINE_CHECK_STRIDE`] folded keys — see
-    /// [`Query::deadline_check_stride`]), so a slow multi-query pass
-    /// returns a typed
-    /// [`CwsError`]`::DeadlineExceeded` — never a hung
-    /// caller — and leaves the summary untouched: the same query (or any
-    /// other) can be evaluated again immediately.
+    /// (before and after the adjusted-weight pass, and every
+    /// [`DEADLINE_CHECK_STRIDE`] folded keys), so a slow pass returns a
+    /// typed [`CwsError`](cws_core::CwsError)`::DeadlineExceeded` with op
+    /// `"query"` — never a hung caller — and leaves the summary untouched:
+    /// the same query (or any other) can be evaluated again immediately.
     #[must_use]
     pub fn with_deadline(mut self, budget: Duration) -> Self {
         self.deadline = Some(budget);
         self
-    }
-
-    /// Overrides how many folded keys pass between deadline checks
-    /// (default [`DEADLINE_CHECK_STRIDE`]). Only meaningful together with
-    /// [`Query::with_deadline`]; a stride of `0` is rejected with a typed
-    /// [`CwsError`]`::InvalidParameter` at evaluation
-    /// time (builder methods stay infallible).
-    #[must_use]
-    pub fn deadline_check_stride(mut self, stride: usize) -> Self {
-        self.check_stride = stride;
-        self
-    }
-
-    /// The aggregate this query estimates.
-    #[must_use]
-    pub fn aggregate(&self) -> &AggregateFn {
-        &self.aggregate
     }
 
     /// The adjusted-weight summary behind the estimate — per-key values for
@@ -300,73 +165,35 @@ impl Query {
     /// one evaluation.
     ///
     /// # Errors
-    /// Returns a typed error for out-of-range or duplicate assignments, an
-    /// empty relevant set, an invalid ℓ, or an aggregate the summary's
-    /// coordination mode cannot support (e.g. `max` over independent
-    /// dispersed sketches).
+    /// Returns a typed error for a repeated assignment, out-of-range
+    /// assignments, an empty relevant set, an invalid ℓ, or an aggregate
+    /// the summary's coordination mode cannot support (e.g. `max` over
+    /// independent dispersed sketches).
     pub fn adjusted_weights(&self, summary: &Summary) -> Result<AdjustedWeights> {
-        match summary {
-            Summary::Colocated(colocated) => {
-                InclusiveEstimator::new(colocated).aggregate(&self.aggregate)
-            }
-            Summary::Dispersed(dispersed) => {
-                let estimator = DispersedEstimator::new(dispersed);
-                match &self.aggregate {
-                    AggregateFn::SingleAssignment(b) => estimator.single(*b),
-                    AggregateFn::Max(r) => estimator.max(r),
-                    AggregateFn::Min(r) => estimator.min(r, self.selection),
-                    AggregateFn::L1(r) => estimator.l1(r, self.selection),
-                    AggregateFn::LthLargest { assignments, ell } => {
-                        estimator.lth_largest(assignments, *ell, self.selection)
-                    }
-                }
-            }
-        }
+        let plan = QueryPlan::build(std::slice::from_ref(&self.spec))?;
+        executor::kernel_weights(summary, &plan.kernels()[0], &mut None)
     }
 
-    /// Evaluates the query: adjusted weights, then the filtered total.
+    /// Evaluates the query as a one-spec batch: adjusted weights, then the
+    /// filtered total, the contributing-key count and, where the estimator
+    /// supports them, the variance and 95% CI.
     ///
     /// # Errors
     /// As [`Query::adjusted_weights`]; additionally
-    /// [`CwsError`]`::DeadlineExceeded` once an armed
-    /// [deadline](Query::with_deadline) expires (checked at chunk
-    /// boundaries; the summary is untouched and stays queryable), and
-    /// `InvalidParameter` for a zero
-    /// [check stride](Query::deadline_check_stride).
-    pub fn evaluate(&self, summary: &Summary) -> Result<Estimate> {
-        self.evaluate_report(summary, false).map(|report| report.estimate())
-    }
-
-    /// [`Query::evaluate`], additionally reporting the HT plug-in variance
-    /// estimate and the 95% confidence interval when the estimator supports
-    /// them (see [`EstimateReport`] for when it does not). The `value` and
-    /// `observed_keys` fields are bit-identical to [`Query::evaluate`] —
-    /// this is an opt-in richer return shape, not a different estimator.
-    ///
-    /// # Errors
-    /// As [`Query::evaluate`].
-    pub fn evaluate_with_variance(&self, summary: &Summary) -> Result<EstimateReport> {
-        self.evaluate_report(summary, true)
-    }
-
-    fn evaluate_report(&self, summary: &Summary, with_variance: bool) -> Result<EstimateReport> {
-        let stride = validate_stride(self.check_stride)?;
-        let deadline = self.deadline.map(Deadline::after);
-        if let Some(armed) = &deadline {
-            armed.check("query")?;
-        }
-        let adjusted = self.adjusted_weights(summary)?;
-        if let Some(armed) = &deadline {
-            armed.check("query")?;
-        }
-        fold_report(&adjusted, self.filter.as_deref(), deadline.as_ref(), stride, with_variance)
+    /// [`CwsError`](cws_core::CwsError)`::DeadlineExceeded` once an armed
+    /// [deadline](Query::with_deadline) expires (the summary is untouched
+    /// and stays queryable).
+    pub fn evaluate(&self, summary: &Summary) -> Result<EstimateReport> {
+        let reports =
+            executor::execute(std::slice::from_ref(&self.spec), self.deadline, summary, "query")?;
+        Ok(reports[0])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cws_core::aggregates::exact_aggregate;
+    use cws_core::aggregates::{exact_aggregate, AggregateFn};
     use cws_core::summary::{ColocatedSummary, DispersedSummary, SummaryConfig};
     use cws_core::{CoordinationMode, CwsError, MultiWeighted, RankFamily};
 
@@ -495,21 +322,19 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_with_variance_matches_evaluate_bitwise() {
+    fn evaluate_reports_variance_where_the_estimator_supports_it() {
         let (colocated, dispersed) = summaries(60, 21);
         let queries = [
             Query::single(0),
             Query::single(1).filter(|key| key % 3 == 0),
             Query::max([0, 1, 2]),
             Query::min([0, 2]).filter(|key| key % 2 == 1),
+            Query::lth_largest([0, 1, 2], 2),
         ];
         for summary in [&colocated, &dispersed] {
             for query in &queries {
-                let plain = summary.query(query).unwrap();
-                let report = query.evaluate_with_variance(summary).unwrap();
-                assert_eq!(plain.value.to_bits(), report.value.to_bits());
-                assert_eq!(plain.observed_keys, report.observed_keys);
-                // Sum / max / min estimators carry support on both layouts.
+                let report = query.evaluate(summary).unwrap();
+                // Sum / max / min / ℓ-th largest carry support on both layouts.
                 let variance = report.variance.unwrap();
                 assert!(variance >= 0.0 && variance.is_finite());
                 let ci = report.ci95.unwrap();
@@ -526,23 +351,29 @@ mod tests {
         // the colocated layout (one shared probability per record) keeps it.
         let (colocated, dispersed) = summaries(40, 23);
         let query = Query::l1([0, 2]);
-        let report = query.evaluate_with_variance(&dispersed).unwrap();
+        let report = query.evaluate(&dispersed).unwrap();
         assert!(report.variance.is_none() && report.ci95.is_none());
-        let report = query.evaluate_with_variance(&colocated).unwrap();
+        let report = query.evaluate(&colocated).unwrap();
         assert!(report.variance.is_some() && report.ci95.is_some());
     }
 
+    /// A repeated assignment fails planning on both layouts, before any
+    /// estimator runs.
     #[test]
-    fn zero_check_stride_is_a_typed_error() {
-        let (colocated, _) = summaries(20, 25);
-        let query = Query::single(0).deadline_check_stride(0);
-        assert!(matches!(
-            query.evaluate(&colocated),
-            Err(CwsError::InvalidParameter { name: "deadline_check_stride", .. })
-        ));
-        // A custom positive stride changes nothing about the result.
-        let narrow = Query::single(0).filter(|key| key % 2 == 0).deadline_check_stride(1);
-        let default = Query::single(0).filter(|key| key % 2 == 0);
-        assert_eq!(narrow.evaluate(&colocated).unwrap(), default.evaluate(&colocated).unwrap());
+    fn repeated_assignments_fail_on_both_layouts() {
+        let (colocated, dispersed) = summaries(20, 25);
+        for summary in [&colocated, &dispersed] {
+            for query in [Query::max([0, 0]), Query::l1([1, 0, 1]), Query::lth_largest([2, 2], 1)] {
+                for result in [
+                    query.evaluate(summary).map(|_| ()),
+                    query.adjusted_weights(summary).map(|_| ()),
+                ] {
+                    assert!(matches!(
+                        result,
+                        Err(CwsError::InvalidParameter { name: "assignment_pair", .. })
+                    ));
+                }
+            }
+        }
     }
 }

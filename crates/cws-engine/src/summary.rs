@@ -8,7 +8,7 @@ use cws_core::summary::{ColocatedSummary, DispersedSummary, SummaryConfig};
 use cws_core::{CoordinationMode, RankFamily, Result};
 
 use crate::plan::QueryBatch;
-use crate::query::{Estimate, EstimateReport, Query};
+use crate::query::{EstimateReport, Query};
 
 /// A finalized coordinated summary in either of the paper's two layouts.
 ///
@@ -96,12 +96,12 @@ impl Summary {
         }
     }
 
-    /// Evaluates a [`Query`] against this summary — the single entry point
-    /// for estimation, regardless of layout.
+    /// Evaluates a [`Query`] (a one-spec [`QueryBatch`]) against this
+    /// summary, regardless of layout.
     ///
     /// # Errors
     /// As [`Query::evaluate`].
-    pub fn query(&self, query: &Query) -> Result<Estimate> {
+    pub fn query(&self, query: &Query) -> Result<EstimateReport> {
         query.evaluate(self)
     }
 

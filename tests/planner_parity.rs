@@ -1,16 +1,23 @@
-//! Batch execution is the same estimator, faster: every `QueryBatch` result
-//! must be **bit-identical** to evaluating the equivalent `Query` on its
-//! own — across layouts, selections, predicates and assignment pairs — and
-//! the surfaced confidence intervals must actually cover at their nominal
-//! rate over seeded trials.
+//! Batch execution is the estimator, folded once: every `QueryBatch` and
+//! `Query` result must be **bit-identical** to an independent reference —
+//! the `cws-core` estimators called directly, then
+//! `AdjustedWeights::subset_total` / `subset_count` and a test-local
+//! variance fold — across layouts, selections, predicates and assignment
+//! sets; with every key sampled, every report must equal the exact
+//! aggregate; and the surfaced confidence intervals must actually cover at
+//! their nominal rate over seeded trials.
 
 mod common;
 
 use std::time::Duration;
 
 use common::{case_rng, mean_and_std};
+use coordinated_sampling::core::aggregates::weighted_jaccard;
 use coordinated_sampling::core::estimate::adjusted::AdjustedWeights;
-use coordinated_sampling::core::CwsError;
+use coordinated_sampling::core::variance::ht_variance_component;
+use coordinated_sampling::core::{
+    normal_ci, CwsError, DispersedEstimator, InclusiveEstimator, Z_95,
+};
 use coordinated_sampling::hash::RandomSource;
 use coordinated_sampling::prelude::*;
 
@@ -47,32 +54,123 @@ fn summaries(keys: u64, salt: u64, k: usize) -> (Summary, Summary) {
     )
 }
 
-/// Builds the sequential `Query` equivalent of a spec shape.
-fn sequential_query(
-    aggregate: &AggregateSpec,
-    selection: SelectionKind,
-    predicate: Option<Pred>,
-) -> Option<Query> {
-    let query = match *aggregate {
-        AggregateSpec::Sum { assignment } => Query::single(assignment),
-        AggregateSpec::Max { pair } => Query::max([pair.0, pair.1]),
-        AggregateSpec::Min { pair } => Query::min([pair.0, pair.1]),
-        AggregateSpec::L1 { pair } => Query::l1([pair.0, pair.1]),
-        // Count / Avg / Jaccard have no single-`Query` equivalent; their
-        // parity is pinned against the adjusted-weight formulas below.
-        AggregateSpec::Count { .. } | AggregateSpec::Avg { .. } | AggregateSpec::Jaccard { .. } => {
-            return None;
+/// The spec of an aggregate function, exactly as written (unsorted sets
+/// included).
+fn spec_of(aggregate: &AggregateFn) -> QuerySpec {
+    QuerySpec::new(match aggregate.clone() {
+        AggregateFn::SingleAssignment(assignment) => AggregateSpec::Sum { assignment },
+        AggregateFn::Max(assignments) => AggregateSpec::Max { assignments },
+        AggregateFn::Min(assignments) => AggregateSpec::Min { assignments },
+        AggregateFn::L1(assignments) => AggregateSpec::L1 { assignments },
+        AggregateFn::LthLargest { assignments, ell } => {
+            AggregateSpec::LthLargest { assignments, ell }
         }
-    };
-    let query = query.selection(selection);
-    Some(match predicate {
-        Some(p) => query.filter(p),
-        None => query,
     })
+}
+
+/// The `Query` of an aggregate function, exactly as written.
+fn query_of(aggregate: &AggregateFn) -> Query {
+    match aggregate.clone() {
+        AggregateFn::SingleAssignment(b) => Query::single(b),
+        AggregateFn::Max(r) => Query::max(r),
+        AggregateFn::Min(r) => Query::min(r),
+        AggregateFn::L1(r) => Query::l1(r),
+        AggregateFn::LthLargest { assignments, ell } => Query::lth_largest(assignments, ell),
+    }
+}
+
+/// The reference adjusted weights: the `cws-core` estimators called
+/// directly (the colocated one recomputing its probabilities, not sharing a
+/// batch pass), with the assignment set sorted.
+fn reference_weights(
+    summary: &Summary,
+    aggregate: &AggregateFn,
+    selection: SelectionKind,
+) -> AdjustedWeights {
+    let sorted = |r: &[usize]| {
+        let mut r = r.to_vec();
+        r.sort_unstable();
+        r
+    };
+    match summary {
+        Summary::Colocated(colocated) => {
+            let aggregate = match aggregate {
+                AggregateFn::SingleAssignment(b) => AggregateFn::SingleAssignment(*b),
+                AggregateFn::Max(r) => AggregateFn::Max(sorted(r)),
+                AggregateFn::Min(r) => AggregateFn::Min(sorted(r)),
+                AggregateFn::L1(r) => AggregateFn::L1(sorted(r)),
+                AggregateFn::LthLargest { assignments, ell } => {
+                    AggregateFn::LthLargest { assignments: sorted(assignments), ell: *ell }
+                }
+            };
+            InclusiveEstimator::new(colocated).aggregate(&aggregate).unwrap()
+        }
+        Summary::Dispersed(dispersed) => {
+            let estimator = DispersedEstimator::new(dispersed);
+            match aggregate {
+                AggregateFn::SingleAssignment(b) => estimator.single(*b),
+                AggregateFn::Max(r) => estimator.max(&sorted(r)),
+                AggregateFn::Min(r) => estimator.min(&sorted(r), selection),
+                AggregateFn::L1(r) => estimator.l1(&sorted(r), selection),
+                AggregateFn::LthLargest { assignments, ell } => {
+                    estimator.lth_largest(&sorted(assignments), *ell, selection)
+                }
+            }
+            .unwrap()
+        }
+    }
+}
+
+/// The reference report of a sum-shaped spec: `subset_total`, the number of
+/// contributing keys, and a plug-in variance folded here over the retained
+/// support.
+fn reference_report(adjusted: &AdjustedWeights, predicate: Pred) -> EstimateReport {
+    let value = adjusted.subset_total(predicate);
+    let observed_keys = adjusted.iter().filter(|&(key, _)| predicate(key)).count();
+    let variance = adjusted.supported_iter().map(|iter| {
+        iter.filter(|&(key, _, _)| predicate(key)).fold(0.0, |acc, (_, _, selected)| {
+            acc + ht_variance_component(selected.value, selected.probability)
+        })
+    });
+    EstimateReport {
+        value,
+        observed_keys,
+        variance,
+        ci95: variance.map(|v| normal_ci(value, v, Z_95)),
+    }
+}
+
+fn assert_same_bits(actual: &EstimateReport, expected: &EstimateReport, context: &str) {
+    assert_eq!(
+        actual.value.to_bits(),
+        expected.value.to_bits(),
+        "{context}: {actual:?} vs {expected:?}"
+    );
+    assert_eq!(actual.observed_keys, expected.observed_keys, "{context}");
+    assert_eq!(actual.variance.map(f64::to_bits), expected.variance.map(f64::to_bits), "{context}");
+    assert_eq!(
+        actual.ci95.map(|ci| (ci.lower.to_bits(), ci.upper.to_bits())),
+        expected.ci95.map(|ci| (ci.lower.to_bits(), ci.upper.to_bits())),
+        "{context}"
+    );
 }
 
 #[test]
 fn batch_is_bit_identical_to_sequential_queries() {
+    let always: Pred = |_| true;
+    let shapes = [
+        AggregateFn::SingleAssignment(0),
+        AggregateFn::SingleAssignment(2),
+        AggregateFn::Max(vec![0, 1]),
+        AggregateFn::Min(vec![0, 1]),
+        AggregateFn::Min(vec![1, 2]),
+        AggregateFn::L1(vec![0, 2]),
+        AggregateFn::Max(vec![0, 1, 2]),
+        AggregateFn::Min(vec![2, 0, 1]),
+        AggregateFn::L1(vec![2, 0, 1]),
+        AggregateFn::LthLargest { assignments: vec![0, 1, 2], ell: 2 },
+        AggregateFn::LthLargest { assignments: vec![2, 0, 1], ell: 2 },
+    ];
     for case in 0..6u64 {
         let mut rng = case_rng("planner_parity_cases", case);
         let keys = 100 + rng.next_below(400);
@@ -80,53 +178,196 @@ fn batch_is_bit_identical_to_sequential_queries() {
         let (colocated, dispersed) = summaries(keys, case, k);
         for summary in [&colocated, &dispersed] {
             for selection in [SelectionKind::SSet, SelectionKind::LSet] {
-                let shapes = [
-                    AggregateSpec::Sum { assignment: 0 },
-                    AggregateSpec::Sum { assignment: 2 },
-                    AggregateSpec::Max { pair: (0, 1) },
-                    AggregateSpec::Min { pair: (0, 1) },
-                    AggregateSpec::Min { pair: (1, 2) },
-                    AggregateSpec::L1 { pair: (0, 2) },
-                ];
                 let mut batch = QueryBatch::new();
                 let mut expected = Vec::new();
-                for aggregate in shapes {
+                for aggregate in &shapes {
+                    let reference = reference_weights(summary, aggregate, selection);
                     for predicate in predicates() {
-                        let mut spec = match aggregate {
-                            AggregateSpec::Sum { assignment } => QuerySpec::sum(assignment),
-                            AggregateSpec::Max { pair } => QuerySpec::max(pair.0, pair.1),
-                            AggregateSpec::Min { pair } => QuerySpec::min(pair.0, pair.1),
-                            AggregateSpec::L1 { pair } => QuerySpec::l1(pair.0, pair.1),
-                            _ => unreachable!(),
-                        }
-                        .selection(selection);
+                        let mut spec = spec_of(aggregate).selection(selection);
+                        let mut query = query_of(aggregate).selection(selection);
                         if let Some(p) = predicate {
                             spec = spec.filter(p);
+                            query = query.filter(p);
                         }
                         batch = batch.push(spec);
-                        expected.push(sequential_query(&aggregate, selection, predicate).unwrap());
+                        let report = reference_report(&reference, predicate.unwrap_or(always));
+                        expected.push((report, query, format!("case {case}: {aggregate:?}")));
                     }
                 }
+                // Count rides along: `subset_count` is its reference.
+                let count =
+                    reference_weights(summary, &AggregateFn::SingleAssignment(1), selection);
+                for predicate in predicates() {
+                    let mut spec = QuerySpec::count(1).selection(selection);
+                    if let Some(p) = predicate {
+                        spec = spec.filter(p);
+                    }
+                    batch = batch.push(spec);
+                }
                 let reports = summary.query_batch(&batch).unwrap();
-                assert_eq!(reports.len(), expected.len());
-                for (report, query) in reports.iter().zip(&expected) {
-                    let solo = query.evaluate(summary).unwrap();
-                    assert_eq!(
-                        report.value.to_bits(),
-                        solo.value.to_bits(),
-                        "case {case}: batch {report:?} vs solo {solo:?} for {query:?}"
-                    );
-                    assert_eq!(report.observed_keys, solo.observed_keys);
-                    // The richer solo path agrees bit-for-bit too, including
-                    // variance availability and the interval endpoints.
-                    let rich = query.evaluate_with_variance(summary).unwrap();
-                    assert_eq!(report.variance.map(f64::to_bits), rich.variance.map(f64::to_bits));
-                    assert_eq!(
-                        report.ci95.map(|ci| (ci.lower.to_bits(), ci.upper.to_bits())),
-                        rich.ci95.map(|ci| (ci.lower.to_bits(), ci.upper.to_bits()))
-                    );
+                assert_eq!(reports.len(), expected.len() + predicates().len());
+                for (report, (reference, query, context)) in reports.iter().zip(&expected) {
+                    assert_same_bits(report, reference, context);
+                    assert_same_bits(&query.evaluate(summary).unwrap(), reference, context);
+                }
+                for (report, predicate) in reports[expected.len()..].iter().zip(predicates()) {
+                    let predicate = predicate.unwrap_or(always);
+                    let (value, variance) = count.subset_count(predicate).unwrap();
+                    assert_eq!(report.value.to_bits(), value.to_bits());
+                    assert_eq!(report.variance.map(f64::to_bits), Some(variance.to_bits()));
+                    let observed = count.iter().filter(|&(key, _)| predicate(key)).count();
+                    assert_eq!(report.observed_keys, observed);
+                }
+                // Unsorted and sorted sets are the same spec, to the bit.
+                for (unsorted, sorted) in [
+                    (AggregateFn::L1(vec![2, 0, 1]), AggregateFn::L1(vec![0, 1, 2])),
+                    (
+                        AggregateFn::LthLargest { assignments: vec![2, 0, 1], ell: 2 },
+                        AggregateFn::LthLargest { assignments: vec![0, 1, 2], ell: 2 },
+                    ),
+                ] {
+                    let solo = |aggregate: &AggregateFn| {
+                        let spec = spec_of(aggregate).selection(selection);
+                        summary.query_batch(&QueryBatch::new().push(spec)).unwrap()[0]
+                    };
+                    assert_same_bits(&solo(&unsorted), &solo(&sorted), "unsorted spec");
+                    let query = |aggregate: &AggregateFn| {
+                        query_of(aggregate).selection(selection).evaluate(summary).unwrap()
+                    };
+                    assert_same_bits(&query(&unsorted), &query(&sorted), "unsorted query");
                 }
             }
+        }
+    }
+}
+
+/// With `k` at least the number of keys every inclusion probability is 1,
+/// so every estimate is exact: a differential oracle against the exact
+/// aggregates, on both layouts, both rank families and both coordination
+/// modes. Independent dispersed sketches support neither max nor anything
+/// built on it, and say so with a typed error.
+#[test]
+fn every_report_equals_the_exact_aggregate_when_every_key_is_sampled() {
+    let keys = 60u64;
+    let mut builder = MultiWeighted::builder(3);
+    for key in 0..keys {
+        builder.add(key, 0, ((key * 7) % 11) as f64);
+        builder.add(key, 1, ((key * 5) % 13) as f64);
+        builder.add(key, 2, (key % 4) as f64 * 3.0);
+    }
+    let data = builder.build();
+    let close =
+        |estimate: f64, exact: f64| (estimate - exact).abs() <= 1e-12 * exact.abs().max(1.0);
+    let shapes = [
+        AggregateFn::SingleAssignment(1),
+        AggregateFn::Max(vec![0, 2]),
+        AggregateFn::Min(vec![0, 2]),
+        AggregateFn::L1(vec![0, 2]),
+        AggregateFn::Max(vec![0, 1, 2]),
+        AggregateFn::Min(vec![0, 1, 2]),
+        AggregateFn::L1(vec![0, 1, 2]),
+        AggregateFn::LthLargest { assignments: vec![0, 1, 2], ell: 2 },
+    ];
+    for family in [RankFamily::Ipps, RankFamily::Exp] {
+        for mode in [CoordinationMode::SharedSeed, CoordinationMode::Independent] {
+            let config = SummaryConfig::new(64, family, mode, 17);
+            for summary in [
+                Summary::Colocated(ColocatedSummary::build(&data, &config)),
+                Summary::Dispersed(DispersedSummary::build(&data, &config)),
+            ] {
+                let independent_dispersed =
+                    summary.as_dispersed().is_some() && mode == CoordinationMode::Independent;
+                for predicate in [None, Some((|key| key % 2 == 0) as Pred)] {
+                    let pred = predicate.unwrap_or(|_| true);
+                    let filtered = |spec: QuerySpec| match predicate {
+                        Some(p) => spec.filter(p),
+                        None => spec,
+                    };
+                    let layout =
+                        if summary.as_dispersed().is_some() { "dispersed" } else { "colocated" };
+                    let context = format!("{family:?} {mode:?} {layout}");
+                    for selection in [SelectionKind::SSet, SelectionKind::LSet] {
+                        for aggregate in &shapes {
+                            let spec = filtered(spec_of(aggregate).selection(selection));
+                            let result = summary.query_batch(&QueryBatch::new().push(spec));
+                            let needs_max = !matches!(
+                                aggregate,
+                                AggregateFn::SingleAssignment(_) | AggregateFn::Min(_)
+                            );
+                            if independent_dispersed && needs_max {
+                                let estimator = match aggregate {
+                                    AggregateFn::Max(_) => "max",
+                                    AggregateFn::L1(_) => "l1",
+                                    _ => "lth_largest",
+                                };
+                                match result {
+                                    Err(CwsError::UnsupportedEstimator {
+                                        estimator: named,
+                                        ..
+                                    }) => {
+                                        assert_eq!(named, estimator, "{context}: {aggregate:?}");
+                                    }
+                                    other => panic!("{context}: {aggregate:?} gave {other:?}"),
+                                }
+                                continue;
+                            }
+                            let exact = exact_aggregate(&data, aggregate, pred);
+                            let report = result.unwrap()[0];
+                            assert!(
+                                close(report.value, exact),
+                                "{context}: {aggregate:?} {} vs {exact}",
+                                report.value
+                            );
+                        }
+                        // Count, avg and Jaccard.
+                        let sum = exact_aggregate(&data, &AggregateFn::SingleAssignment(1), pred);
+                        let count =
+                            data.iter().filter(|&(key, w)| pred(key) && w[1] > 0.0).count() as f64;
+                        let batch = QueryBatch::new()
+                            .push(filtered(QuerySpec::count(1).selection(selection)))
+                            .push(filtered(QuerySpec::avg(1).selection(selection)));
+                        let reports = summary.query_batch(&batch).unwrap();
+                        assert!(close(reports[0].value, count), "{context}: count");
+                        assert!(close(reports[1].value, sum / count), "{context}: avg");
+                        let jaccard = summary.query_batch(
+                            &QueryBatch::new()
+                                .push(filtered(QuerySpec::jaccard(0, 2).selection(selection))),
+                        );
+                        if independent_dispersed {
+                            assert!(matches!(
+                                jaccard,
+                                Err(CwsError::UnsupportedEstimator { estimator: "max", .. })
+                            ));
+                        } else {
+                            let exact = weighted_jaccard(&data, 0, 2, pred);
+                            assert!(close(jaccard.unwrap()[0].value, exact), "{context}: jaccard");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `QueryBatch::default()` is an empty batch like `QueryBatch::new()`, and
+/// serves the same specs to the bit.
+#[test]
+fn default_batch_matches_new_batch_bit_for_bit() {
+    let (colocated, dispersed) = summaries(300, 7, 32);
+    let specs = || {
+        [
+            QuerySpec::sum(0),
+            QuerySpec::count(1).filter(|key| key % 3 == 0),
+            QuerySpec::l1(0, 2),
+            QuerySpec::jaccard(1, 2),
+        ]
+    };
+    for summary in [&colocated, &dispersed] {
+        let default = summary.query_batch(&QueryBatch::default().extend(specs())).unwrap();
+        let new = summary.query_batch(&QueryBatch::new().extend(specs())).unwrap();
+        assert_eq!(default.len(), 4);
+        for (a, b) in default.iter().zip(&new) {
+            assert_same_bits(a, b, "default vs new");
         }
     }
 }
@@ -244,11 +485,12 @@ fn invalid_specs_and_deadlines_are_typed_and_poison_nothing() {
             summary.query_batch(&out_of_range),
             Err(CwsError::AssignmentOutOfRange { index: 7, .. })
         ));
-        // Zero stride: typed InvalidParameter.
-        let zero_stride = QueryBatch::new().push(QuerySpec::sum(0)).deadline_check_stride(0);
+        // A repeated assignment in a set: the same typed error.
+        let repeated = QueryBatch::new()
+            .push(QuerySpec::new(AggregateSpec::Max { assignments: vec![2, 0, 2] }));
         assert!(matches!(
-            summary.query_batch(&zero_stride),
-            Err(CwsError::InvalidParameter { name: "deadline_check_stride", .. })
+            summary.query_batch(&repeated),
+            Err(CwsError::InvalidParameter { name: "assignment_pair", .. })
         ));
         // Expired deadline: typed, and poisons nothing — the same batch
         // with a generous deadline matches the undeadlined run bit-for-bit.
@@ -264,10 +506,7 @@ fn invalid_specs_and_deadlines_are_typed_and_poison_nothing() {
             summary.query_batch(&expired),
             Err(CwsError::DeadlineExceeded { op: "query_batch", budget_ms: 0 })
         ));
-        let generous = QueryBatch::new()
-            .extend(specs())
-            .with_deadline(Duration::from_secs(3600))
-            .deadline_check_stride(64);
+        let generous = QueryBatch::new().extend(specs()).with_deadline(Duration::from_secs(3600));
         let plain = QueryBatch::new().extend(specs());
         let deadlined = summary.query_batch(&generous).unwrap();
         let undeadlined = summary.query_batch(&plain).unwrap();
