@@ -6,8 +6,6 @@
 //! values of the sampled keys that satisfy the selection predicate
 //! (Section 3, "Adjusted weights").
 
-use std::collections::HashMap;
-
 use crate::estimate::template::Selected;
 use crate::variance::ht_variance_component;
 use crate::weights::Key;
@@ -23,10 +21,21 @@ use crate::weights::Key;
 /// assembled outside the template (notably [`AdjustedWeights::difference`],
 /// the dispersed L1 construction) carry no support and report `None` for
 /// those.
+///
+/// Entries keep the order they arrived in, which is the order every fold
+/// sums them in. No hash index is built. When the keys arrive in strictly
+/// ascending order (the multi-assignment dispersed passes, the colocated
+/// passes and [`AdjustedWeights::difference`]), [`AdjustedWeights::get`]
+/// binary-searches the entries themselves. Otherwise (e.g. the rank-ordered
+/// single-assignment RC estimator) construction sorts one `(key, position)`
+/// copy, which checks for duplicate keys and then serves as the search
+/// index. A lookup costs `O(log n)` either way.
 #[derive(Debug, Clone, Default)]
 pub struct AdjustedWeights {
     entries: Vec<(Key, f64)>,
-    index: HashMap<Key, usize>,
+    /// `(key, position in entries)` sorted by key; empty when `entries` is
+    /// itself in strictly ascending key order.
+    by_key: Vec<(Key, usize)>,
     /// `(value, probability)` per entry, aligned with `entries`; empty when
     /// the summary was assembled without template support.
     support: Vec<Selected>,
@@ -59,7 +68,6 @@ impl AdjustedWeights {
         I: IntoIterator<Item = (Key, f64)>,
     {
         let mut stored = Vec::new();
-        let mut index = HashMap::new();
         for (key, value) in entries {
             assert!(
                 value >= 0.0 && value.is_finite(),
@@ -68,11 +76,9 @@ impl AdjustedWeights {
             if value == 0.0 {
                 continue;
             }
-            let previous = index.insert(key, stored.len());
-            assert!(previous.is_none(), "duplicate adjusted weight for key {key}");
             stored.push((key, value));
         }
-        Self { entries: stored, index, support: Vec::new() }
+        Self::indexed(stored, Vec::new())
     }
 
     /// Builds an AW-summary from `(key, `[`Selected`]`)` pairs, retaining
@@ -93,7 +99,6 @@ impl AdjustedWeights {
         I: IntoIterator<Item = (Key, Selected)>,
     {
         let mut stored = Vec::new();
-        let mut index = HashMap::new();
         let mut support = Vec::new();
         for (key, selected) in selections {
             let value = selected.adjusted_weight();
@@ -104,12 +109,34 @@ impl AdjustedWeights {
             if value == 0.0 {
                 continue;
             }
-            let previous = index.insert(key, stored.len());
-            assert!(previous.is_none(), "duplicate adjusted weight for key {key}");
             stored.push((key, value));
             support.push(selected);
         }
-        Self { entries: stored, index, support }
+        Self::indexed(stored, support)
+    }
+
+    /// Wraps `entries`, building the sorted `(key, position)` copy only when
+    /// the keys are not already strictly ascending.
+    ///
+    /// # Panics
+    /// Panics on duplicate keys.
+    fn indexed(entries: Vec<(Key, f64)>, support: Vec<Selected>) -> Self {
+        let ascending = entries.windows(2).all(|pair| pair[0].0 < pair[1].0);
+        let mut by_key = Vec::new();
+        if !ascending {
+            by_key.extend(entries.iter().enumerate().map(|(slot, &(key, _))| (key, slot)));
+            by_key.sort_unstable();
+            if let Some(pair) = by_key.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+                panic!("duplicate adjusted weight for key {}", pair[0].0);
+            }
+        }
+        Self { entries, by_key, support }
+    }
+
+    /// The entries in ascending key order.
+    fn ascending(&self) -> impl Iterator<Item = (Key, f64)> + '_ {
+        (0..self.entries.len())
+            .map(|i| self.entries[self.by_key.get(i).map_or(i, |&(_, slot)| slot)])
     }
 
     /// `true` when every entry retains its `(value, probability)` support —
@@ -131,10 +158,16 @@ impl AdjustedWeights {
         })
     }
 
-    /// The adjusted weight of `key` (`0` for keys without an entry).
+    /// The adjusted weight of `key` (`0` for keys without an entry): a
+    /// binary search, `O(log n)`.
     #[must_use]
     pub fn get(&self, key: Key) -> f64 {
-        self.index.get(&key).map_or(0.0, |&slot| self.entries[slot].1)
+        let slot = if self.by_key.is_empty() {
+            self.entries.binary_search_by_key(&key, |&(k, _)| k).ok()
+        } else {
+            self.by_key.binary_search_by_key(&key, |&(k, _)| k).ok().map(|i| self.by_key[i].1)
+        };
+        slot.map_or(0.0, |slot| self.entries[slot].1)
     }
 
     /// Number of keys with a positive adjusted weight.
@@ -255,15 +288,18 @@ impl AdjustedWeights {
     /// assembled (Eq. 17); for consistent rank assignments the difference is
     /// provably non-negative (Lemma 7.5), so the clamp only absorbs
     /// floating-point noise.
+    ///
+    /// One linear merge of the two inputs in ascending key order; the result
+    /// is in ascending key order. A key only the subtrahend holds clamps to
+    /// zero, the implicit default, so it gets no entry.
     #[must_use]
     pub fn difference(minuend: &Self, subtrahend: &Self) -> Self {
-        let mut keys: Vec<Key> = minuend.iter().map(|(key, _)| key).collect();
-        keys.extend(subtrahend.iter().map(|(key, _)| key));
-        keys.sort_unstable();
-        keys.dedup();
-        Self::from_entries(
-            keys.into_iter().map(|key| (key, (minuend.get(key) - subtrahend.get(key)).max(0.0))),
-        )
+        let mut rest = subtrahend.ascending().peekable();
+        Self::from_entries(minuend.ascending().map(|(key, value)| {
+            while rest.next_if(|&(other, _)| other < key).is_some() {}
+            let subtracted = rest.next_if(|&(other, _)| other == key).map_or(0.0, |(_, v)| v);
+            (key, (value - subtracted).max(0.0))
+        }))
     }
 }
 
@@ -316,6 +352,79 @@ mod tests {
     #[should_panic(expected = "duplicate adjusted weight")]
     fn duplicate_keys_rejected() {
         let _ = AdjustedWeights::from_entries(vec![(1, 1.0), (1, 2.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate adjusted weight for key 1")]
+    fn non_adjacent_duplicate_keys_rejected() {
+        let _ = AdjustedWeights::from_entries(vec![(1, 1.0), (2, 2.0), (1, 3.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate adjusted weight for key 4")]
+    fn duplicate_selected_keys_rejected() {
+        let _ = AdjustedWeights::from_selected(vec![
+            (3, Selected { value: 1.0, probability: 0.5 }),
+            (4, Selected { value: 2.0, probability: 0.5 }),
+            (4, Selected { value: 2.0, probability: 0.5 }),
+        ]);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate adjusted weight for key 3")]
+    fn non_adjacent_duplicate_selected_keys_rejected() {
+        let _ = AdjustedWeights::from_selected(vec![
+            (3, Selected { value: 1.0, probability: 0.5 }),
+            (9, Selected { value: 2.0, probability: 0.5 }),
+            (1, Selected { value: 2.0, probability: 0.25 }),
+            (3, Selected { value: 4.0, probability: 1.0 }),
+        ]);
+    }
+
+    #[test]
+    fn zero_entries_do_not_count_as_duplicates() {
+        let aw = AdjustedWeights::from_entries(vec![(1, 0.0), (2, 1.0), (1, 3.0)]);
+        assert_eq!(aw.get(1), 3.0);
+        assert_eq!(aw.len(), 2);
+    }
+
+    /// Lookups and differences do not depend on the order the entries
+    /// arrived in; iteration keeps that order.
+    #[test]
+    fn get_and_difference_ignore_input_order() {
+        let a: Vec<(Key, f64)> = (0u64..40).map(|k| (k * 3, 1.0 + k as f64 * 0.37)).collect();
+        let b: Vec<(Key, f64)> = (0u64..30).map(|k| (k * 4 + 1, 2.0 + k as f64 * 0.11)).collect();
+        // A fixed permutation: 17 is coprime to both lengths.
+        let shuffle = |v: &[(Key, f64)]| -> Vec<(Key, f64)> {
+            (0..v.len()).map(|i| v[i * 17 % v.len()]).collect()
+        };
+        let (a_sorted, b_sorted) =
+            (AdjustedWeights::from_entries(a.clone()), AdjustedWeights::from_entries(b.clone()));
+        let (a_shuffled, b_shuffled) = (
+            AdjustedWeights::from_entries(shuffle(&a)),
+            AdjustedWeights::from_entries(shuffle(&b)),
+        );
+        assert_eq!(a_shuffled.iter().collect::<Vec<_>>(), shuffle(&a));
+        for key in 0..130 {
+            assert_eq!(a_sorted.get(key).to_bits(), a_shuffled.get(key).to_bits(), "key {key}");
+            assert_eq!(b_sorted.get(key).to_bits(), b_shuffled.get(key).to_bits(), "key {key}");
+        }
+        let expected = AdjustedWeights::difference(&a_sorted, &b_sorted);
+        assert!(!expected.is_empty());
+        for (minuend, subtrahend) in
+            [(&a_sorted, &b_shuffled), (&a_shuffled, &b_sorted), (&a_shuffled, &b_shuffled)]
+        {
+            let d = AdjustedWeights::difference(minuend, subtrahend);
+            let bits = |aw: &AdjustedWeights| -> Vec<(Key, u64)> {
+                aw.iter().map(|(key, value)| (key, value.to_bits())).collect()
+            };
+            assert_eq!(bits(&d), bits(&expected));
+        }
+        // The overlap (keys ≡ 9 mod 12) subtracts; keys only in `b` vanish.
+        let d = AdjustedWeights::difference(&b_shuffled, &a_shuffled);
+        assert_eq!(d.get(9), (b[2].1 - a[3].1).max(0.0));
+        assert_eq!(d.get(0), 0.0);
+        assert_eq!(d.get(5), b[1].1);
     }
 
     #[test]

@@ -24,9 +24,8 @@
 use crate::error::{CwsError, Result};
 use crate::estimate::adjusted::AdjustedWeights;
 use crate::estimate::single::rc_adjusted_weights;
-use crate::estimate::template::{estimate_from_selection, Selected};
+use crate::estimate::template::Selected;
 use crate::summary::DispersedSummary;
-use crate::weights::Key;
 
 /// Which of the two selection rules to use for `min` / ℓ-th-largest
 /// estimators.
@@ -76,19 +75,16 @@ impl<'a> DispersedEstimator<'a> {
         Ok(())
     }
 
-    fn union_keys(&self) -> Vec<Key> {
-        let mut keys: Vec<Key> = self.summary.union_keys().collect();
-        keys.sort_unstable();
-        keys
-    }
-
-    /// `r_k^{(min R)}(I \ {key})` — the smallest conditioning threshold over
-    /// the relevant assignments.
-    fn min_threshold(&self, key: Key, assignments: &[usize]) -> f64 {
-        assignments
-            .iter()
-            .map(|&b| self.summary.threshold_excluding(key, b))
-            .fold(f64::INFINITY, f64::min)
+    /// One template-estimator pass over the union in ascending key order:
+    /// `selection` sees each key's row of per-assignment `(rank, weight)`
+    /// slots ([`DispersedSummary::rows`]), so the pass does no lookups.
+    fn pass<F>(&self, mut selection: F) -> AdjustedWeights
+    where
+        F: FnMut(&[Option<(f64, f64)>]) -> Option<Selected>,
+    {
+        AdjustedWeights::from_selected(
+            self.summary.rows().filter_map(|(key, row)| selection(row).map(|s| (key, s))),
+        )
     }
 
     /// The single-assignment RC estimator applied to the embedded sketch of
@@ -127,17 +123,25 @@ impl<'a> DispersedEstimator<'a> {
     /// Returns an error for invalid assignment sets.
     pub fn min(&self, assignments: &[usize], kind: SelectionKind) -> Result<AdjustedWeights> {
         self.validate_assignments(assignments)?;
-        let summary = self.summary;
-        let family = summary.family();
+        let family = self.summary.family();
         let coordinated = self.coordinated();
-        Ok(estimate_from_selection(self.union_keys(), |key| {
+        // A selected key is in the sketch of every relevant assignment, so
+        // its conditioning threshold there is that sketch's next rank, and
+        // the s-set threshold `r_k^{(min R)}(I \ {i})` is the same for every
+        // selected key.
+        let next: Vec<f64> =
+            assignments.iter().map(|&b| self.summary.sketch(b).next_rank()).collect();
+        let smallest = next.iter().copied().fold(f64::INFINITY, f64::min);
+        let mut weights = Vec::with_capacity(assignments.len());
+        let mut ranks = Vec::with_capacity(assignments.len());
+        Ok(self.pass(|row| {
             // Selection: the key must be in the sketch of every relevant
             // assignment; the s-set additionally requires every rank to fall
             // below the smallest threshold.
-            let mut weights = Vec::with_capacity(assignments.len());
-            let mut ranks = Vec::with_capacity(assignments.len());
+            weights.clear();
+            ranks.clear();
             for &b in assignments {
-                let (rank, weight) = summary.entry(key, b)?;
+                let (rank, weight) = row[b]?;
                 weights.push(weight);
                 ranks.push(rank);
             }
@@ -147,23 +151,20 @@ impl<'a> DispersedEstimator<'a> {
             }
             let probability = match kind {
                 SelectionKind::SSet => {
-                    let threshold = self.min_threshold(key, assignments);
-                    if ranks.iter().any(|&rank| rank >= threshold) {
+                    if ranks.iter().any(|&rank| rank >= smallest) {
                         return None;
                     }
                     if coordinated {
-                        family.inclusion_probability(value, threshold)
+                        family.inclusion_probability(value, smallest)
                     } else {
-                        weights
-                            .iter()
-                            .map(|&w| family.inclusion_probability(w, threshold))
-                            .product()
+                        weights.iter().map(|&w| family.inclusion_probability(w, smallest)).product()
                     }
                 }
                 SelectionKind::LSet => {
-                    let per_assignment = assignments.iter().zip(&weights).map(|(&b, &w)| {
-                        family.inclusion_probability(w, summary.threshold_excluding(key, b))
-                    });
+                    let per_assignment = weights
+                        .iter()
+                        .zip(&next)
+                        .map(|(&w, &threshold)| family.inclusion_probability(w, threshold));
                     if coordinated {
                         per_assignment.fold(f64::INFINITY, f64::min)
                     } else {
@@ -200,69 +201,105 @@ impl<'a> DispersedEstimator<'a> {
                 reason: "requires coordinated (consistent) sketches",
             });
         }
-        let summary = self.summary;
-        let family = summary.family();
+        let family = self.summary.family();
+        // `(next_rank, kth_rank)` per relevant assignment, hoisted out of the
+        // pass: the conditioning threshold `r_k^{(b)}(I \ {i})` of a key
+        // inside and outside the sketch of `b`.
+        let thresholds: Vec<(f64, f64)> = assignments
+            .iter()
+            .map(|&b| {
+                let sketch = self.summary.sketch(b);
+                (sketch.next_rank(), sketch.kth_rank())
+            })
+            .collect();
+        // The threshold of the key in `row` for assignment `b`.
+        let excluding = |row: &[Option<(f64, f64)>], b: usize, (next, kth): (f64, f64)| {
+            if row[b].is_some() {
+                next
+            } else {
+                kth
+            }
+        };
         match kind {
-            SelectionKind::SSet => Ok(estimate_from_selection(self.union_keys(), |key| {
-                let threshold = self.min_threshold(key, assignments);
-                // R'(i): assignments whose rank for the key is below the
-                // smallest threshold (only sampled assignments can qualify).
-                let mut observed: Vec<f64> = assignments
-                    .iter()
-                    .filter_map(|&b| summary.entry(key, b))
-                    .filter(|&(rank, _)| rank < threshold)
-                    .map(|(_, weight)| weight)
-                    .collect();
-                if observed.len() < ell {
-                    return None;
-                }
-                observed.sort_by(|a, b| b.total_cmp(a));
-                let value = observed[ell - 1];
-                if value == 0.0 {
-                    return None;
-                }
-                Some(Selected {
-                    value,
-                    probability: family.inclusion_probability(value, threshold),
-                })
-            })),
-            SelectionKind::LSet => Ok(estimate_from_selection(self.union_keys(), |key| {
-                // R'(i): assignments whose sketch contains the key.
-                let mut observed: Vec<(usize, f64, f64)> = assignments
-                    .iter()
-                    .filter_map(|&b| summary.entry(key, b).map(|(rank, weight)| (b, rank, weight)))
-                    .collect();
-                if observed.len() < ell {
-                    return None;
-                }
-                observed.sort_by(|a, b| b.2.total_cmp(&a.2));
-                let value = observed[ell - 1].2;
-                if value == 0.0 {
-                    return None;
-                }
-                // Recover the shared seed from any observed (rank, weight).
-                let (_, rank0, weight0) = observed[0];
-                let seed = family.seed_from_rank(weight0, rank0);
-                let top: Vec<usize> = observed[..ell].iter().map(|&(b, _, _)| b).collect();
-                // The remaining assignments must be certifiably no larger
-                // than the ℓ-th largest weight: the shared seed must fall
-                // below F_{value}(threshold_b).
-                let mut probability = f64::INFINITY;
-                for &(b, _, weight) in &observed[..ell] {
-                    probability = probability.min(
-                        family.inclusion_probability(weight, summary.threshold_excluding(key, b)),
+            SelectionKind::SSet => {
+                let mut observed: Vec<f64> = Vec::with_capacity(assignments.len());
+                Ok(self.pass(|row| {
+                    let threshold = assignments
+                        .iter()
+                        .zip(&thresholds)
+                        .map(|(&b, &pair)| excluding(row, b, pair))
+                        .fold(f64::INFINITY, f64::min);
+                    // R'(i): assignments whose rank for the key is below the
+                    // smallest threshold (only sampled assignments can
+                    // qualify).
+                    observed.clear();
+                    observed.extend(
+                        assignments
+                            .iter()
+                            .filter_map(|&b| row[b])
+                            .filter(|&(rank, _)| rank < threshold)
+                            .map(|(_, weight)| weight),
                     );
-                }
-                for &b in assignments.iter().filter(|&&b| !top.contains(&b)) {
-                    let bound =
-                        family.inclusion_probability(value, summary.threshold_excluding(key, b));
-                    if seed >= bound {
+                    if observed.len() < ell {
                         return None;
                     }
-                    probability = probability.min(bound);
-                }
-                Some(Selected { value, probability })
-            })),
+                    observed.sort_by(|a, b| b.total_cmp(a));
+                    let value = observed[ell - 1];
+                    if value == 0.0 {
+                        return None;
+                    }
+                    Some(Selected {
+                        value,
+                        probability: family.inclusion_probability(value, threshold),
+                    })
+                }))
+            }
+            SelectionKind::LSet => {
+                // `(position in assignments, rank, weight)` per sampled
+                // relevant assignment.
+                let mut observed: Vec<(usize, f64, f64)> = Vec::with_capacity(assignments.len());
+                Ok(self.pass(|row| {
+                    // R'(i): assignments whose sketch contains the key.
+                    observed.clear();
+                    observed.extend(
+                        assignments
+                            .iter()
+                            .enumerate()
+                            .filter_map(|(j, &b)| row[b].map(|(rank, weight)| (j, rank, weight))),
+                    );
+                    if observed.len() < ell {
+                        return None;
+                    }
+                    observed.sort_by(|a, b| b.2.total_cmp(&a.2));
+                    let value = observed[ell - 1].2;
+                    if value == 0.0 {
+                        return None;
+                    }
+                    // Recover the shared seed from any observed (rank, weight).
+                    let (_, rank0, weight0) = observed[0];
+                    let seed = family.seed_from_rank(weight0, rank0);
+                    let top = &observed[..ell];
+                    // The remaining assignments must be certifiably no larger
+                    // than the ℓ-th largest weight: the shared seed must fall
+                    // below F_{value}(threshold_b).
+                    let mut probability = f64::INFINITY;
+                    for &(j, _, weight) in top {
+                        let (next, _) = thresholds[j];
+                        probability = probability.min(family.inclusion_probability(weight, next));
+                    }
+                    for (j, (&b, &pair)) in assignments.iter().zip(&thresholds).enumerate() {
+                        if top.iter().any(|&(chosen, _, _)| chosen == j) {
+                            continue;
+                        }
+                        let bound = family.inclusion_probability(value, excluding(row, b, pair));
+                        if seed >= bound {
+                            return None;
+                        }
+                        probability = probability.min(bound);
+                    }
+                    Some(Selected { value, probability })
+                }))
+            }
         }
     }
 
@@ -292,7 +329,7 @@ mod tests {
     use crate::coordination::CoordinationMode;
     use crate::ranks::RankFamily;
     use crate::summary::SummaryConfig;
-    use crate::weights::MultiWeighted;
+    use crate::weights::{Key, MultiWeighted};
 
     /// Two-period, skewed data with churn, mimicking the structure of the
     /// paper's dispersed IP data.
@@ -569,5 +606,289 @@ mod tests {
                 .subset_total(predicate)
         });
         assert!((mean - exact).abs() <= exact * 0.15, "mean {mean} vs exact {exact}");
+    }
+
+    /// The conditioning threshold of `key` in assignment `b`, as the
+    /// oracle looks it up.
+    type Threshold = fn(&DispersedSummary, Key, usize) -> f64;
+
+    /// [`Threshold`] with the rank-conditioning choice inverted: the k-th
+    /// rank for a sampled key, the next rank otherwise.
+    fn swapped_threshold(summary: &DispersedSummary, key: Key, b: usize) -> f64 {
+        if summary.in_sketch(key, b) {
+            summary.sketch(b).kth_rank()
+        } else {
+            summary.sketch(b).next_rank()
+        }
+    }
+
+    /// The per-key reference path: a sorted collect of the union, then
+    /// [`DispersedSummary::entry`] and threshold lookups for every key and
+    /// assignment, with fresh vectors per key. Yields the retained
+    /// `(key, selection)` pairs in key order.
+    struct Oracle<'a> {
+        summary: &'a DispersedSummary,
+        threshold: Threshold,
+    }
+
+    impl Oracle<'_> {
+        fn keys(&self) -> Vec<Key> {
+            let mut keys: Vec<Key> = self.summary.union_keys().collect();
+            keys.sort_unstable();
+            keys
+        }
+
+        fn min_threshold(&self, key: Key, assignments: &[usize]) -> f64 {
+            assignments
+                .iter()
+                .map(|&b| (self.threshold)(self.summary, key, b))
+                .fold(f64::INFINITY, f64::min)
+        }
+
+        fn select<F>(&self, selection: F) -> Vec<(Key, Selected)>
+        where
+            F: Fn(Key) -> Option<Selected>,
+        {
+            self.keys()
+                .into_iter()
+                .filter_map(|key| selection(key).map(|selected| (key, selected)))
+                .filter(|(_, selected)| selected.adjusted_weight() != 0.0)
+                .collect()
+        }
+
+        fn min(&self, assignments: &[usize], kind: SelectionKind) -> Vec<(Key, Selected)> {
+            let summary = self.summary;
+            let family = summary.family();
+            let coordinated = summary.mode().is_coordinated();
+            self.select(|key| {
+                let mut weights = Vec::new();
+                let mut ranks = Vec::new();
+                for &b in assignments {
+                    let (rank, weight) = summary.entry(key, b)?;
+                    weights.push(weight);
+                    ranks.push(rank);
+                }
+                let value = weights.iter().copied().fold(f64::INFINITY, f64::min);
+                if value == 0.0 {
+                    return None;
+                }
+                let probability = match kind {
+                    SelectionKind::SSet => {
+                        let threshold = self.min_threshold(key, assignments);
+                        if ranks.iter().any(|&rank| rank >= threshold) {
+                            return None;
+                        }
+                        if coordinated {
+                            family.inclusion_probability(value, threshold)
+                        } else {
+                            weights
+                                .iter()
+                                .map(|&w| family.inclusion_probability(w, threshold))
+                                .product()
+                        }
+                    }
+                    SelectionKind::LSet => {
+                        let per_assignment = assignments.iter().zip(&weights).map(|(&b, &w)| {
+                            family.inclusion_probability(w, (self.threshold)(summary, key, b))
+                        });
+                        if coordinated {
+                            per_assignment.fold(f64::INFINITY, f64::min)
+                        } else {
+                            per_assignment.product()
+                        }
+                    }
+                };
+                Some(Selected { value, probability })
+            })
+        }
+
+        fn lth_largest(
+            &self,
+            assignments: &[usize],
+            ell: usize,
+            kind: SelectionKind,
+        ) -> Vec<(Key, Selected)> {
+            let summary = self.summary;
+            let family = summary.family();
+            match kind {
+                SelectionKind::SSet => self.select(|key| {
+                    let threshold = self.min_threshold(key, assignments);
+                    let mut observed: Vec<f64> = assignments
+                        .iter()
+                        .filter_map(|&b| summary.entry(key, b))
+                        .filter(|&(rank, _)| rank < threshold)
+                        .map(|(_, weight)| weight)
+                        .collect();
+                    if observed.len() < ell {
+                        return None;
+                    }
+                    observed.sort_by(|a, b| b.total_cmp(a));
+                    let value = observed[ell - 1];
+                    if value == 0.0 {
+                        return None;
+                    }
+                    Some(Selected {
+                        value,
+                        probability: family.inclusion_probability(value, threshold),
+                    })
+                }),
+                SelectionKind::LSet => self.select(|key| {
+                    let mut observed: Vec<(usize, f64, f64)> = assignments
+                        .iter()
+                        .filter_map(|&b| {
+                            summary.entry(key, b).map(|(rank, weight)| (b, rank, weight))
+                        })
+                        .collect();
+                    if observed.len() < ell {
+                        return None;
+                    }
+                    observed.sort_by(|a, b| b.2.total_cmp(&a.2));
+                    let value = observed[ell - 1].2;
+                    if value == 0.0 {
+                        return None;
+                    }
+                    let (_, rank0, weight0) = observed[0];
+                    let seed = family.seed_from_rank(weight0, rank0);
+                    let top: Vec<usize> = observed[..ell].iter().map(|&(b, _, _)| b).collect();
+                    let mut probability = f64::INFINITY;
+                    for &(b, _, weight) in &observed[..ell] {
+                        probability = probability.min(
+                            family.inclusion_probability(weight, (self.threshold)(summary, key, b)),
+                        );
+                    }
+                    for &b in assignments.iter().filter(|&&b| !top.contains(&b)) {
+                        let bound =
+                            family.inclusion_probability(value, (self.threshold)(summary, key, b));
+                        if seed >= bound {
+                            return None;
+                        }
+                        probability = probability.min(bound);
+                    }
+                    Some(Selected { value, probability })
+                }),
+            }
+        }
+
+        fn max(&self, assignments: &[usize]) -> Vec<(Key, Selected)> {
+            self.lth_largest(assignments, 1, SelectionKind::SSet)
+        }
+
+        /// `(key, a_max − a_min)` over the sorted union of both supports,
+        /// clamped at zero, zeros dropped.
+        fn l1(&self, assignments: &[usize], kind: SelectionKind) -> Vec<(Key, f64)> {
+            let max = self.max(assignments);
+            let min = self.min(assignments, kind);
+            let get = |list: &[(Key, Selected)], key: Key| {
+                list.iter().find(|&&(k, _)| k == key).map_or(0.0, |(_, s)| s.adjusted_weight())
+            };
+            let mut keys: Vec<Key> = max.iter().chain(&min).map(|&(key, _)| key).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            keys.into_iter()
+                .map(|key| (key, (get(&max, key) - get(&min, key)).max(0.0)))
+                .filter(|&(_, value)| value != 0.0)
+                .collect()
+        }
+    }
+
+    /// Whether `got` holds exactly `want`, to the bit: keys, adjusted
+    /// weights and every `(value, probability)` support pair, in order.
+    fn same_selection(got: &AdjustedWeights, want: &[(Key, Selected)]) -> bool {
+        let got: Vec<(Key, f64, Selected)> = got.supported_iter().expect("support kept").collect();
+        got.len() == want.len()
+            && got.iter().zip(want).all(|(&(key, weight, s), &(want_key, w))| {
+                key == want_key
+                    && weight.to_bits() == w.adjusted_weight().to_bits()
+                    && s.value.to_bits() == w.value.to_bits()
+                    && s.probability.to_bits() == w.probability.to_bits()
+            })
+    }
+
+    /// Whether `got` holds exactly the `(key, weight)` pairs of `want`, to
+    /// the bit.
+    fn same_entries(got: &AdjustedWeights, want: &[(Key, f64)]) -> bool {
+        got.len() == want.len()
+            && got.iter().zip(want).all(|((key, weight), &(want_key, w))| {
+                key == want_key && weight.to_bits() == w.to_bits()
+            })
+    }
+
+    /// The row-walking kernels are bit-identical to the per-key lookup path
+    /// for every estimator, selection, rank family and relevant-set size;
+    /// the same fixtures tell the rank-conditioning thresholds apart, so a
+    /// kernel that swapped `next_rank` and `kth_rank` would fail here.
+    #[test]
+    fn row_kernels_match_the_per_key_oracle_bit_for_bit() {
+        let data = fixture(300, 4);
+        let sets: [&[usize]; 4] = [&[2], &[1, 3], &[3, 0, 2], &[0, 1, 2, 3]];
+        let kinds = [SelectionKind::SSet, SelectionKind::LSet];
+        let mut checked = 0;
+        let mut swap_detected = [false; 4];
+        for family in [RankFamily::Ipps, RankFamily::Exp] {
+            for mode in [CoordinationMode::SharedSeed, CoordinationMode::Independent] {
+                for (k, seed) in [(25, 1), (40, 7), (320, 3)] {
+                    let summary =
+                        DispersedSummary::build(&data, &SummaryConfig::new(k, family, mode, seed));
+                    let estimator = DispersedEstimator::new(&summary);
+                    let oracle = Oracle {
+                        summary: &summary,
+                        threshold: DispersedSummary::threshold_excluding,
+                    };
+                    let swapped = Oracle { summary: &summary, threshold: swapped_threshold };
+                    let label = |what: &str, r: &[usize]| {
+                        format!("{what} {family:?} {mode:?} k={k} seed={seed} R={r:?}")
+                    };
+                    for r in sets {
+                        for kind in kinds {
+                            let got = estimator.min(r, kind).unwrap();
+                            assert!(
+                                same_selection(&got, &oracle.min(r, kind)),
+                                "{}",
+                                label(&format!("min {kind:?}"), r)
+                            );
+                            swap_detected[0] |= !same_selection(&got, &swapped.min(r, kind));
+                            checked += 1;
+                        }
+                        if !mode.is_coordinated() {
+                            continue;
+                        }
+                        let got = estimator.max(r).unwrap();
+                        assert!(same_selection(&got, &oracle.max(r)), "{}", label("max", r));
+                        swap_detected[1] |= !same_selection(&got, &swapped.max(r));
+                        checked += 1;
+                        for kind in kinds {
+                            let got = estimator.l1(r, kind).unwrap();
+                            assert!(
+                                same_entries(&got, &oracle.l1(r, kind)),
+                                "{}",
+                                label(&format!("l1 {kind:?}"), r)
+                            );
+                            swap_detected[2] |= !same_entries(&got, &swapped.l1(r, kind));
+                            checked += 1;
+                            for ell in 1..=r.len() {
+                                let got = estimator.lth_largest(r, ell, kind).unwrap();
+                                let want = oracle.lth_largest(r, ell, kind);
+                                assert!(
+                                    same_selection(&got, &want),
+                                    "{}",
+                                    label(&format!("lth_largest ell={ell} {kind:?}"), r)
+                                );
+                                swap_detected[3] |=
+                                    !same_selection(&got, &swapped.lth_largest(r, ell, kind));
+                                checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // Per family and (k, seed): the independent summary checks min on
+        // 4 sets × 2 selections; the coordinated one checks, per set, min
+        // and l1 under both selections, max, and ℓ = 1..=|R| under both.
+        assert_eq!(checked, 2 * 3 * (4 * 2 + (4 * 5 + 2 * (1 + 2 + 3 + 4))));
+        assert_eq!(
+            swap_detected, [true; 4],
+            "[min, max, l1, lth_largest] tell the thresholds apart"
+        );
     }
 }

@@ -1,8 +1,6 @@
 //! The dispersed-weights summary: independent per-assignment bottom-k
 //! sketches coordinated only through the shared hash seed (Section 7).
 
-use std::collections::HashMap;
-
 use crate::coordination::CoordinationMode;
 use crate::ranks::RankFamily;
 use crate::sketch::bottomk::BottomKSketch;
@@ -16,13 +14,23 @@ use crate::weights::{Key, MultiWeighted};
 /// of `(I, w^(b))` whose entries record only the weight under `b`. The sites
 /// share nothing but the hash seed; coordination (or the lack of it) is
 /// decided by the [`CoordinationMode`] of the configuration.
+///
+/// Beside the sketches, the summary keeps a key-sorted flat layout built
+/// once at assembly: the union of the sampled keys in ascending order, and
+/// one row of per-assignment `(rank, weight)` slots per union key, stored
+/// row-major in one array. An estimator pass walks [`DispersedSummary::rows`]
+/// front to back with no hashing; a point lookup
+/// ([`DispersedSummary::entry`]) is a binary search over the union.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DispersedSummary {
     config: SummaryConfig,
     sketches: Vec<BottomKSketch>,
-    /// For every key in the union of the sketches: per assignment, its
-    /// `(rank, weight)` pair if it is included in that sketch.
-    membership: HashMap<Key, Vec<Option<(f64, f64)>>>,
+    /// The union of the sketches' keys, strictly ascending.
+    union: Vec<Key>,
+    /// `union.len() × num_assignments` slots, row-major: slot
+    /// `row * num_assignments + b` holds the `(rank, weight)` of `union[row]`
+    /// in the sketch of assignment `b`, if it is sampled there.
+    slots: Vec<Option<(f64, f64)>>,
 }
 
 impl DispersedSummary {
@@ -75,14 +83,30 @@ impl DispersedSummary {
             "all sketches must use the configured k"
         );
         let assignments = sketches.len();
-        let mut membership: HashMap<Key, Vec<Option<(f64, f64)>>> = HashMap::new();
+        // Every sampled entry as `(key, assignment << 32 | position in its
+        // sketch)`, sorted by key: the entries of one key become adjacent, so
+        // one walk lays out the union and its rows.
+        let mut sampled: Vec<(Key, u64)> = Vec::new();
         for (b, sketch) in sketches.iter().enumerate() {
-            for entry in sketch.entries() {
-                membership.entry(entry.key).or_insert_with(|| vec![None; assignments])[b] =
-                    Some((entry.rank, entry.weight));
-            }
+            let tag = u64::try_from(b).expect("assignment index fits in u64") << 32;
+            let positions = 0..u64::from(
+                u32::try_from(sketch.len()).expect("a sketch holds fewer than 2^32 entries"),
+            );
+            sampled.extend(sketch.entries().iter().zip(positions).map(|(e, i)| (e.key, tag | i)));
         }
-        Self { config, sketches, membership }
+        sampled.sort_unstable_by_key(|&(key, _)| key);
+        let mut union: Vec<Key> = Vec::new();
+        let mut slots: Vec<Option<(f64, f64)>> = Vec::new();
+        for (key, tag) in sampled {
+            if union.last() != Some(&key) {
+                union.push(key);
+                slots.resize(slots.len() + assignments, None);
+            }
+            let b = (tag >> 32) as usize;
+            let entry = &sketches[b].entries()[(tag & u64::from(u32::MAX)) as usize];
+            slots[(union.len() - 1) * assignments + b] = Some((entry.rank, entry.weight));
+        }
+        Self { config, sketches, union, slots }
     }
 
     /// The configuration used to build the summary.
@@ -131,19 +155,32 @@ impl DispersedSummary {
     /// storage footprint that coordination minimizes (Theorem 4.2).
     #[must_use]
     pub fn num_distinct_keys(&self) -> usize {
-        self.membership.len()
+        self.union.len()
     }
 
-    /// Iterates over the keys in the union of the sketches.
+    /// Iterates over the keys in the union of the sketches, in strictly
+    /// ascending key order — the same order for the same sketches on every
+    /// run, so folds over it are deterministic.
     pub fn union_keys(&self) -> impl Iterator<Item = Key> + '_ {
-        self.membership.keys().copied()
+        self.union.iter().copied()
+    }
+
+    /// Iterates over the union in strictly ascending key order, handing out
+    /// each key with its row of per-assignment slots: `row[b]` is the
+    /// `(rank, weight)` of the key in the sketch of assignment `b`, or `None`
+    /// when it is not sampled there. Each row has
+    /// [`DispersedSummary::num_assignments`] slots.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = (Key, &[Option<(f64, f64)>])> + '_ {
+        self.union.iter().copied().zip(self.slots.chunks_exact(self.num_assignments()))
     }
 
     /// The `(rank, weight)` of `key` in the sketch of `assignment`, if it was
-    /// sampled there.
+    /// sampled there. A binary search over the union: `O(log U)` for `U`
+    /// distinct keys.
     #[must_use]
     pub fn entry(&self, key: Key, assignment: usize) -> Option<(f64, f64)> {
-        self.membership.get(&key).and_then(|per| per[assignment])
+        let row = self.union.binary_search(&key).ok()?;
+        self.slots[row * self.num_assignments() + assignment]
     }
 
     /// Whether `key` appears in the sketch of `assignment`.
@@ -167,6 +204,8 @@ impl DispersedSummary {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use crate::coordination::CoordinationMode;
     use crate::ranks::RankFamily;
@@ -245,6 +284,35 @@ mod tests {
         assert_eq!(summary.threshold_excluding(some_key, 0), summary.sketch(0).kth_rank());
         let member = summary.sketch(0).entries()[0].key;
         assert_eq!(summary.threshold_excluding(member, 0), summary.sketch(0).next_rank());
+    }
+
+    #[test]
+    fn union_keys_and_rows_are_ascending_and_match_the_sketches() {
+        let data = fixture();
+        for mode in [CoordinationMode::SharedSeed, CoordinationMode::Independent] {
+            let summary = DispersedSummary::build(&data, &config(mode));
+            let keys: Vec<Key> = summary.union_keys().collect();
+            assert!(keys.windows(2).all(|pair| pair[0] < pair[1]), "{mode:?}: not ascending");
+            let expected: BTreeSet<Key> = summary
+                .sketches()
+                .iter()
+                .flat_map(|sketch| sketch.entries().iter().map(|entry| entry.key))
+                .collect();
+            assert_eq!(keys, expected.into_iter().collect::<Vec<_>>(), "{mode:?}");
+
+            assert_eq!(summary.rows().len(), keys.len());
+            for ((key, row), &expected_key) in summary.rows().zip(&keys) {
+                assert_eq!(key, expected_key);
+                assert_eq!(row.len(), summary.num_assignments());
+                for (b, &slot) in row.iter().enumerate() {
+                    let sampled = summary.sketch(b).entries().iter().find(|e| e.key == key);
+                    assert_eq!(slot, sampled.map(|e| (e.rank, e.weight)), "{mode:?} key {key}");
+                    assert_eq!(summary.entry(key, b), slot);
+                }
+            }
+            let outside = (0..).find(|key| keys.binary_search(key).is_err()).unwrap();
+            assert_eq!(summary.entry(outside, 0), None);
+        }
     }
 
     #[test]
