@@ -112,10 +112,11 @@ pub mod workloads {
         sampler.finalize().expect("no worker failure").num_distinct_keys()
     }
 
-    /// The hash-once path fed through the row-major batch API.
+    /// The hash-once path fed through the row-major batch adapter
+    /// ([`Ingest::push_batch`]).
     pub fn hash_once_batch(data: &MultiWeighted, config: SummaryConfig) -> usize {
         let mut sampler = MultiAssignmentStreamSampler::new(config, data.num_assignments());
-        sampler.push_batch(data.iter()).expect("valid weights");
+        Ingest::push_batch(&mut sampler, data.iter()).expect("valid weights");
         sampler.finalize().expect("no worker failure").num_distinct_keys()
     }
 
@@ -132,7 +133,7 @@ pub mod workloads {
     pub fn sharded(data: &MultiWeighted, config: SummaryConfig, shards: usize) -> usize {
         let mut sampler =
             MultiAssignmentStreamSampler::with_workers(config, data.num_assignments(), shards);
-        sampler.push_batch(data.iter()).expect("valid weights");
+        Ingest::push_batch(&mut sampler, data.iter()).expect("valid weights");
         sampler.finalize().expect("no worker failure").num_distinct_keys()
     }
 

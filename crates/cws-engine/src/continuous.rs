@@ -144,9 +144,6 @@ pub struct EpochedPipeline {
     /// What opening the journal found (torn tails truncated, temps
     /// removed) — folded into the replay report during recovery.
     wal_open: Option<WalOpenReport>,
-    /// `true` while records are being replayed *out of* the journal, which
-    /// must not journal them again.
-    replaying: bool,
 }
 
 impl EpochedPipeline {
@@ -180,7 +177,6 @@ impl EpochedPipeline {
             peak_bytes_past: 0,
             journal,
             wal_open,
-            replaying: false,
         })
     }
 
@@ -430,33 +426,29 @@ impl EpochedPipeline {
     /// Replays every journaled frame tagged with the **current** window's
     /// epoch into the (fresh) current pipeline — the in-process half of
     /// crash recovery, used when a finalize failure destroys the window
-    /// that the journal still holds. Returns how many records were
-    /// re-ingested; per-record rejections (poison the original run also
-    /// rejected) are tolerated, so healing converges to exactly the
-    /// original accept set.
+    /// that the journal still holds. Each frame goes through the batch
+    /// call that journaled it (see [`replay_frame`](Self::replay_frame)),
+    /// so the healed window accepts and rejects exactly what the destroyed
+    /// one did. Returns how many records were re-ingested.
     fn self_heal_from_journal(&mut self) -> Result<u64> {
         let frames = match self.journal.as_ref() {
             Some(journal) => journal.read_frames()?,
             None => return Ok(0),
         };
         let window = self.epoch + 1;
-        self.replaying = true;
         let mut replayed = 0;
-        for frame in &frames {
-            if frame.epoch() != window {
-                continue;
-            }
+        for frame in frames.iter().filter(|frame| frame.epoch() == window) {
             replayed += self.replay_frame(frame).0;
         }
-        self.replaying = false;
         Ok(replayed)
     }
 
     /// Replays the journal tail after a restart: every frame whose epoch
     /// is **not** covered by a durable snapshot is re-ingested through the
-    /// normal `Ingest` path (per record, so rejections match the original
-    /// run exactly); covered frames — segments that simply had not been
-    /// pruned yet — are skipped, never double-ingested.
+    /// batch call that journaled it (see
+    /// [`replay_frame`](Self::replay_frame)); covered frames — segments
+    /// that simply had not been pruned yet — are skipped, never
+    /// double-ingested.
     ///
     /// `stored_epochs` are the snapshot epochs currently on disk
     /// (ascending). A frame is covered when its epoch is at most the
@@ -481,7 +473,6 @@ impl EpochedPipeline {
             }
         };
         let resumed = self.epoch;
-        self.replaying = true;
         for frame in &frames {
             if matches!(frame, FramePayload::Barrier { .. }) {
                 continue;
@@ -497,37 +488,41 @@ impl EpochedPipeline {
             report.records_replayed += accepted;
             report.rejected_records += rejected;
         }
-        self.replaying = false;
         Ok(report)
     }
 
-    /// Re-ingests one frame record by record (never through a columnar
-    /// fast path, so a mid-batch rejection cannot double-ingest a prefix).
-    /// Returns `(accepted, rejected)`.
+    /// Re-ingests one frame through the call that journaled it: a records
+    /// frame is one `push_columns`, an elements frame one `push_elements`,
+    /// and the one-record / one-element frames the scalar calls write go
+    /// back through `push_record` / `push_element` (a one-record column
+    /// batch journals the same bytes; its replay is bit-identical for a
+    /// valid record, and only an aggregation stage's quarantine count can
+    /// tell a poison one apart). A summary is a deterministic function of
+    /// its pushes, so the frame accepts, rejects and flushes early exactly
+    /// as the original push did — a mid-batch rejection included. Replay
+    /// goes to the inner pipeline, never back into the journal. Returns
+    /// `(accepted, rejected)`: accepted is the growth of `processed()`,
+    /// rejected the rest of the frame.
     fn replay_frame(&mut self, frame: &FramePayload) -> (u64, u64) {
-        let (mut accepted, mut rejected) = (0, 0);
-        match frame {
-            FramePayload::Barrier { .. } => {}
-            FramePayload::Records { keys, weights, .. } => {
-                let stride = self.current.num_assignments();
-                for (index, &key) in keys.iter().enumerate() {
-                    let row = &weights[index * stride..(index + 1) * stride];
-                    match self.current.push_record(key, row) {
-                        Ok(()) => accepted += 1,
-                        Err(_) => rejected += 1,
-                    }
-                }
+        let before = self.current.processed();
+        // The push's error is the original run's error too; the counts
+        // below carry everything replay reports about it.
+        let _ = match frame {
+            FramePayload::Barrier { .. } => Ok(()),
+            FramePayload::Records { columns, .. } if columns.len() == 1 => {
+                let mut row = Vec::with_capacity(columns.num_assignments());
+                columns.copy_row_into(0, &mut row);
+                self.current.push_record(columns.keys()[0], &row)
             }
-            FramePayload::Elements { items, .. } => {
-                for &(key, assignment, weight) in items {
-                    match self.current.push_element(key, assignment as usize, weight) {
-                        Ok(()) => accepted += 1,
-                        Err(_) => rejected += 1,
-                    }
-                }
+            FramePayload::Records { columns, .. } => self.current.push_columns(columns),
+            FramePayload::Elements { items, .. } if items.len() == 1 => {
+                let (key, assignment, weight) = items[0];
+                self.current.push_element(key, assignment, weight)
             }
-        }
-        (accepted, rejected)
+            FramePayload::Elements { items, .. } => self.current.push_elements(items),
+        };
+        let accepted = self.current.processed() - before;
+        (accepted, frame.record_count() as u64 - accepted)
     }
 
     /// Fault injection into the current epoch's dispersed back-end — see
@@ -552,11 +547,9 @@ impl EpochedPipeline {
     /// typed `BudgetExceeded` when the WAL byte budget is full — the
     /// element is then neither journaled nor ingested).
     pub fn push_element(&mut self, key: Key, assignment: usize, weight: f64) -> Result<()> {
-        if !self.replaying {
-            let epoch = self.epoch + 1;
-            if let Some(journal) = self.journal.as_mut() {
-                journal.append_element(epoch, key, assignment, weight)?;
-            }
+        let epoch = self.epoch + 1;
+        if let Some(journal) = self.journal.as_mut() {
+            journal.append_element(epoch, key, assignment, weight)?;
         }
         self.current.push_element(key, assignment, weight)
     }
@@ -567,11 +560,9 @@ impl EpochedPipeline {
     /// # Errors
     /// As [`Pipeline::push_elements`], plus journal append errors.
     pub fn push_elements(&mut self, elements: &[(Key, usize, f64)]) -> Result<()> {
-        if !self.replaying {
-            let epoch = self.epoch + 1;
-            if let Some(journal) = self.journal.as_mut() {
-                journal.append_elements(epoch, elements)?;
-            }
+        let epoch = self.epoch + 1;
+        if let Some(journal) = self.journal.as_mut() {
+            journal.append_elements(epoch, elements)?;
         }
         self.current.push_elements(elements)
     }
@@ -592,21 +583,17 @@ impl Ingest for EpochedPipeline {
     /// before the sampler sees it, so anything ingestion absorbed is
     /// replayable.
     fn push_record(&mut self, key: Key, weights: &[f64]) -> Result<()> {
-        if !self.replaying {
-            let epoch = self.epoch + 1;
-            if let Some(journal) = self.journal.as_mut() {
-                journal.append_record(epoch, key, weights)?;
-            }
+        let epoch = self.epoch + 1;
+        if let Some(journal) = self.journal.as_mut() {
+            journal.append_record(epoch, key, weights)?;
         }
         self.current.push_record(key, weights)
     }
 
     fn push_columns(&mut self, columns: &RecordColumns) -> Result<()> {
-        if !self.replaying {
-            let epoch = self.epoch + 1;
-            if let Some(journal) = self.journal.as_mut() {
-                journal.append_columns(epoch, columns)?;
-            }
+        let epoch = self.epoch + 1;
+        if let Some(journal) = self.journal.as_mut() {
+            journal.append_columns(epoch, columns)?;
         }
         self.current.push_columns(columns)
     }
@@ -1087,5 +1074,54 @@ mod tests {
             Err(CwsError::UnsupportedEstimator { estimator: "drift", .. })
         ));
         assert!(WindowedPipeline::new(dispersed_builder(), 0).is_err());
+    }
+
+    /// Self-healing replays each journaled batch through the call that
+    /// wrote it: a column batch the sharded back-end rejected whole (one
+    /// NaN) stays rejected whole, so the healed epoch equals an undisturbed
+    /// run of the same pushes — not one that re-ingested the batch's valid
+    /// records one by one.
+    #[test]
+    fn self_heal_replays_a_partly_rejected_batch_exactly() {
+        use cws_core::WorkerFault;
+
+        use crate::wal::{SyncPolicy, WalConfig};
+        let dir = std::env::temp_dir().join(format!("cws-continuous-heal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let builder = || dispersed_builder().execution(Execution::Sharded(2));
+        let batch = |first: u64, nan_at: Option<u64>| {
+            let mut columns = RecordColumns::with_capacity(2, 300);
+            for key in first..first + 300 {
+                let bad = nan_at == Some(key - first);
+                columns.push(key, &[((key % 13) + 1) as f64, if bad { f64::NAN } else { 2.0 }]);
+            }
+            columns
+        };
+        let pushes = |pipeline: &mut dyn Ingest| {
+            pipeline.push_columns(&batch(0, None)).unwrap();
+            assert!(pipeline.push_columns(&batch(300, Some(120))).is_err());
+            pipeline.push_columns(&batch(600, None)).unwrap();
+        };
+        let mut undisturbed = builder().build().unwrap();
+        pushes(&mut undisturbed);
+        assert_eq!(
+            undisturbed.processed(),
+            600,
+            "the sharded back-end rejects the NaN batch whole"
+        );
+        undisturbed.push_columns(&batch(900, None)).unwrap();
+        let expected = undisturbed.processed();
+
+        let journal = WalConfig::new(&dir).sync(SyncPolicy::OnRotate);
+        let mut epochs = EpochedPipeline::new(builder().journal(journal)).unwrap();
+        pushes(&mut epochs);
+        epochs.inject_worker_fault(1, WorkerFault::Panic).unwrap();
+        assert!(epochs.push_columns(&batch(900, None)).is_err(), "the worker dies");
+        assert!(epochs.publish().is_err());
+        let state = epochs.degraded().unwrap();
+        assert_eq!((state.records_lost, state.records_replayable), (0, expected));
+        assert_eq!(epochs.processed(), expected);
+        assert_eq!(epochs.publish().unwrap().summary.as_ref(), &undisturbed.finalize().unwrap());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

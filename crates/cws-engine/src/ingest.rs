@@ -1,19 +1,22 @@
-//! The unified ingestion trait over every stream sampler.
+//! The unified ingestion trait over the pipeline's sampling back-ends.
 //!
-//! Each back-end has a *native* call shape — scalar records for
-//! [`ColocatedStreamSampler`], per-assignment observations for
-//! [`DispersedStreamSampler`], structure-of-arrays columns for
-//! [`MultiAssignmentStreamSampler`] — and historically exposed only the
-//! shapes it was optimized for. [`Ingest`] gives all of them all three
-//! record-shaped surfaces: the trait's default
-//! methods bridge row-major and columnar forms through the same per-record
-//! offers the native paths make, so **every call shape on every back-end
-//! produces bit-identical summaries** (asserted by `tests/pipeline_parity.rs`
-//! at the workspace root).
+//! [`RecordColumns`] is the ingestion currency: the pipeline's aggregation
+//! stage drains into it, the write-ahead journal encodes frames straight
+//! from it and replays a journaled batch through `push_columns` again,
+//! and [`MultiAssignmentStreamSampler`] consumes it natively. The
+//! row-shaped calls sit beside it: [`Ingest::push_record`] per record and
+//! [`Ingest::push_batch`], the one row-batch adapter over it. Every
+//! call shape on every back-end produces **bit-identical summaries**
+//! (asserted by `tests/pipeline_parity.rs` at the workspace root).
+//!
+//! The per-assignment
+//! [`DispersedStreamSampler`](cws_stream::DispersedStreamSampler) is not a
+//! pipeline back-end and has no `Ingest` implementation; it stays the
+//! reference and bench baseline through its inherent methods.
 
 use cws_core::columns::RecordColumns;
 use cws_core::{Key, Result};
-use cws_stream::{ColocatedStreamSampler, DispersedStreamSampler, MultiAssignmentStreamSampler};
+use cws_stream::{ColocatedStreamSampler, MultiAssignmentStreamSampler};
 
 use crate::summary::Summary;
 
@@ -54,24 +57,15 @@ pub trait Ingest {
         Ok(())
     }
 
-    /// Processes a structure-of-arrays batch.
-    ///
-    /// The default implementation re-materializes rows through a scratch
-    /// buffer — bit-identical to [`Ingest::push_record`] per record;
-    /// back-ends with a native columnar kernel override it.
+    /// Processes a structure-of-arrays batch — the ingestion currency.
+    /// Bit-identical to [`Ingest::push_record`] per record when every
+    /// record is valid.
     ///
     /// # Errors
-    /// As [`Ingest::push_record`]; records before the offending one were
-    /// ingested (native columnar kernels may reject a whole trailing chunk —
-    /// see the back-end's own documentation).
-    fn push_columns(&mut self, columns: &RecordColumns) -> Result<()> {
-        let mut row = Vec::with_capacity(columns.num_assignments());
-        for (index, &key) in columns.keys().iter().enumerate() {
-            columns.copy_row_into(index, &mut row);
-            self.push_record(key, &row)?;
-        }
-        Ok(())
-    }
+    /// As [`Ingest::push_record`]. How much of a batch with an invalid
+    /// record was ingested is the back-end's own contract (a prefix of
+    /// records, of whole chunks, or nothing) — see its documentation.
+    fn push_columns(&mut self, columns: &RecordColumns) -> Result<()>;
 
     /// Finalizes the pass into a [`Summary`].
     ///
@@ -93,7 +87,7 @@ impl Ingest for ColocatedStreamSampler {
     }
 
     fn push_record(&mut self, key: Key, weights: &[f64]) -> Result<()> {
-        ColocatedStreamSampler::push_record(self, key, weights)
+        ColocatedStreamSampler::push(self, key, weights)
     }
 
     fn push_columns(&mut self, columns: &RecordColumns) -> Result<()> {
@@ -102,24 +96,6 @@ impl Ingest for ColocatedStreamSampler {
 
     fn finalize(self) -> Result<Summary> {
         Ok(Summary::Colocated(ColocatedStreamSampler::finalize(self)))
-    }
-}
-
-impl Ingest for DispersedStreamSampler {
-    fn num_assignments(&self) -> usize {
-        DispersedStreamSampler::num_assignments(self)
-    }
-
-    fn processed(&self) -> u64 {
-        DispersedStreamSampler::processed(self)
-    }
-
-    fn push_record(&mut self, key: Key, weights: &[f64]) -> Result<()> {
-        DispersedStreamSampler::push_record(self, key, weights)
-    }
-
-    fn finalize(self) -> Result<Summary> {
-        Ok(Summary::Dispersed(DispersedStreamSampler::finalize(self)))
     }
 }
 
@@ -150,6 +126,7 @@ mod tests {
     use super::*;
     use cws_core::summary::SummaryConfig;
     use cws_core::{CoordinationMode, MultiWeighted, RankFamily};
+    use cws_stream::DispersedStreamSampler;
 
     fn fixture(assignments: usize) -> MultiWeighted {
         let mut builder = MultiWeighted::builder(assignments);
@@ -198,11 +175,17 @@ mod tests {
         assert!(colocated.iter().all(|s| s == &colocated[0]));
         assert!(colocated[0].as_colocated().is_some());
 
-        let dispersed = all_shapes(|| DispersedStreamSampler::new(config, 3), &data);
+        // The per-assignment sampler is the reference, fed through its own
+        // inherent record push.
+        let mut reference = DispersedStreamSampler::new(config, 3);
+        for (key, weights) in data.iter() {
+            reference.push_record(key, weights).unwrap();
+        }
+        let reference = Summary::Dispersed(reference.finalize());
         let hash_once = all_shapes(|| MultiAssignmentStreamSampler::new(config, 3), &data);
         let split = all_shapes(|| MultiAssignmentStreamSampler::with_workers(config, 3, 2), &data);
-        for summary in dispersed.iter().chain(&hash_once).chain(&split) {
-            assert_eq!(summary, &dispersed[0], "all dispersed back-ends and shapes agree");
+        for summary in hash_once.iter().chain(&split) {
+            assert_eq!(summary, &reference, "all dispersed back-ends and shapes agree");
         }
     }
 }

@@ -373,24 +373,8 @@ impl Pipeline {
     #[inline]
     pub fn push_element(&mut self, key: Key, assignment: usize, weight: f64) -> Result<()> {
         self.check_ingest_deadline()?;
-        match &mut self.aggregator {
-            Some(aggregator) => match aggregator.absorb_element(key, assignment, weight) {
-                Err(CwsError::BudgetExceeded { .. }) => {
-                    self.flush_early()?;
-                    self.aggregator
-                        .as_mut()
-                        .expect("flush_early keeps the aggregation stage")
-                        .absorb_element(key, assignment, weight)
-                }
-                other => other,
-            },
-            None => Err(CwsError::InvalidParameter {
-                name: "aggregation",
-                message: "push_element requires an aggregation stage \
-                          (PipelineBuilder::aggregation(SumByKey | MaxByKey))"
-                    .to_string(),
-            }),
-        }
+        self.absorb_governed(|aggregator| aggregator.absorb_element(key, assignment, weight))
+            .unwrap_or_else(|| Err(requires_aggregation("push_element")))
     }
 
     /// Absorbs a batch of unaggregated elements — bit-identical to pushing
@@ -404,24 +388,8 @@ impl Pipeline {
     /// it is absorbed.
     pub fn push_elements(&mut self, elements: &[(Key, usize, f64)]) -> Result<()> {
         self.check_ingest_deadline()?;
-        match &mut self.aggregator {
-            Some(aggregator) => match aggregator.absorb_elements(elements) {
-                Err(CwsError::BudgetExceeded { .. }) => {
-                    self.flush_early()?;
-                    self.aggregator
-                        .as_mut()
-                        .expect("flush_early keeps the aggregation stage")
-                        .absorb_elements(elements)
-                }
-                other => other,
-            },
-            None => Err(CwsError::InvalidParameter {
-                name: "aggregation",
-                message: "push_elements requires an aggregation stage \
-                          (PipelineBuilder::aggregation(SumByKey | MaxByKey))"
-                    .to_string(),
-            }),
-        }
+        self.absorb_governed(|aggregator| aggregator.absorb_elements(elements))
+            .unwrap_or_else(|| Err(requires_aggregation("push_elements")))
     }
 
     /// Merges summaries computed over **disjoint** key partitions (different
@@ -559,6 +527,22 @@ impl Pipeline {
         }
     }
 
+    /// Offers a push to the aggregation stage; when it breaches the budget,
+    /// spills the stage ([`flush_early`](Self::flush_early)) and offers it
+    /// once more. `None` when no aggregation stage is configured.
+    fn absorb_governed(
+        &mut self,
+        mut absorb: impl FnMut(&mut KeyAggregator) -> Result<()>,
+    ) -> Option<Result<()>> {
+        let result = absorb(self.aggregator.as_mut()?);
+        Some(match result {
+            Err(CwsError::BudgetExceeded { .. }) => self.flush_early().and_then(|()| {
+                absorb(self.aggregator.as_mut().expect("flush_early keeps the aggregation stage"))
+            }),
+            other => other,
+        })
+    }
+
     /// Spills the aggregation stage into the sampling back-end ("flush
     /// early") — the governed response to a budget breach. The aggregate
     /// hands off exactly as it would at finalize, the table recharges to
@@ -587,6 +571,17 @@ impl Pipeline {
     }
 }
 
+/// The error of an element push on a pipeline without an aggregation stage.
+fn requires_aggregation(call: &str) -> CwsError {
+    CwsError::InvalidParameter {
+        name: "aggregation",
+        message: format!(
+            "{call} requires an aggregation stage \
+             (PipelineBuilder::aggregation(SumByKey | MaxByKey))"
+        ),
+    }
+}
+
 impl Ingest for Pipeline {
     fn num_assignments(&self) -> usize {
         for_backend!(&self.backend, sampler => Ingest::num_assignments(sampler))
@@ -604,17 +599,8 @@ impl Ingest for Pipeline {
 
     fn push_record(&mut self, key: Key, weights: &[f64]) -> Result<()> {
         self.check_ingest_deadline()?;
-        match &mut self.aggregator {
-            Some(aggregator) => match aggregator.absorb_record(key, weights) {
-                Err(CwsError::BudgetExceeded { .. }) => {
-                    self.flush_early()?;
-                    self.aggregator
-                        .as_mut()
-                        .expect("flush_early keeps the aggregation stage")
-                        .absorb_record(key, weights)
-                }
-                other => other,
-            },
+        match self.absorb_governed(|aggregator| aggregator.absorb_record(key, weights)) {
+            Some(result) => result,
             None => {
                 for_backend!(&mut self.backend, sampler => Ingest::push_record(sampler, key, weights))
             }
@@ -623,17 +609,8 @@ impl Ingest for Pipeline {
 
     fn push_columns(&mut self, columns: &RecordColumns) -> Result<()> {
         self.check_ingest_deadline()?;
-        match &mut self.aggregator {
-            Some(aggregator) => match aggregator.absorb_columns(columns) {
-                Err(CwsError::BudgetExceeded { .. }) => {
-                    self.flush_early()?;
-                    self.aggregator
-                        .as_mut()
-                        .expect("flush_early keeps the aggregation stage")
-                        .absorb_columns(columns)
-                }
-                other => other,
-            },
+        match self.absorb_governed(|aggregator| aggregator.absorb_columns(columns)) {
+            Some(result) => result,
             None => {
                 for_backend!(&mut self.backend, sampler => Ingest::push_columns(sampler, columns))
             }

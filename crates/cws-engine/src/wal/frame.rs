@@ -21,11 +21,17 @@
 //! ([`f64::to_bits`]), the same convention as the summary codec, so a
 //! journaled record replays **bit-exactly**.
 //!
+//! Records frames are encoded straight from the key column and the weight
+//! lanes of a [`RecordColumns`] batch (interleaving them into the row-major
+//! body as they are written) and decode straight back into one, so a frame
+//! replays through the call that journaled it.
+//!
 //! Decoding never panics and never guesses: a frame either round-trips
 //! cleanly or reports a typed torn/corrupt reason that tells recovery to
 //! truncate at the last clean frame.
 
 use cws_core::codec::frame_checksum;
+use cws_core::columns::RecordColumns;
 use cws_core::Key;
 
 /// Fixed prefix of every frame: payload length (u32) + payload checksum
@@ -54,10 +60,10 @@ const ELEMENT_STRIDE: usize = 8 + 4 + 8;
 /// The decoded content of one clean frame.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum FramePayload {
-    /// Whole records: row-major weights, `keys.len() × A` values.
-    Records { epoch: u64, keys: Vec<Key>, weights: Vec<f64> },
+    /// Whole records, as the column batch they were journaled from.
+    Records { epoch: u64, columns: RecordColumns },
     /// Unaggregated elements `(key, assignment, weight)`.
-    Elements { epoch: u64, items: Vec<(Key, u32, f64)> },
+    Elements { epoch: u64, items: Vec<(Key, usize, f64)> },
     /// An epoch publish boundary; everything before it belongs to `epoch`.
     Barrier { epoch: u64 },
 }
@@ -75,7 +81,7 @@ impl FramePayload {
     /// Number of records/elements the frame holds (0 for barriers).
     pub(crate) fn record_count(&self) -> usize {
         match self {
-            Self::Records { keys, .. } => keys.len(),
+            Self::Records { columns, .. } => columns.len(),
             Self::Elements { items, .. } => items.len(),
             Self::Barrier { .. } => 0,
         }
@@ -121,36 +127,33 @@ pub(crate) fn max_records_per_frame(num_assignments: usize) -> usize {
 pub(crate) const MAX_ELEMENTS_PER_FRAME: usize =
     (MAX_FRAME_PAYLOAD - PAYLOAD_PREFIX - 4) / ELEMENT_STRIDE;
 
-/// Encodes a records frame; `weights` is row-major,
-/// `keys.len() × num_assignments` values.
-pub(crate) fn encode_records(
-    epoch: u64,
-    keys: &[Key],
-    weights: &[f64],
-    num_assignments: usize,
-) -> Vec<u8> {
-    debug_assert_eq!(keys.len() * num_assignments, weights.len());
-    debug_assert!(keys.len() <= max_records_per_frame(num_assignments));
+/// Encodes a records frame from a key column and one weight lane per
+/// assignment (each as long as `keys`); record `i` is written as `keys[i]`
+/// followed by `lanes[0][i], …, lanes[A-1][i]`.
+pub(crate) fn encode_records(epoch: u64, keys: &[Key], lanes: &[&[f64]]) -> Vec<u8> {
+    debug_assert!(lanes.iter().all(|lane| lane.len() == keys.len()));
+    debug_assert!(keys.len() <= max_records_per_frame(lanes.len()));
     let mut payload =
-        payload_prefix(KIND_RECORDS, epoch, 4 + keys.len() * record_stride(num_assignments));
+        payload_prefix(KIND_RECORDS, epoch, 4 + keys.len() * record_stride(lanes.len()));
     payload.extend_from_slice(&(keys.len() as u32).to_le_bytes());
     for (index, &key) in keys.iter().enumerate() {
         payload.extend_from_slice(&key.to_le_bytes());
-        for &weight in &weights[index * num_assignments..(index + 1) * num_assignments] {
-            payload.extend_from_slice(&weight.to_bits().to_le_bytes());
+        for lane in lanes {
+            payload.extend_from_slice(&lane[index].to_bits().to_le_bytes());
         }
     }
     finish_frame(payload)
 }
 
-/// Encodes an elements frame.
-pub(crate) fn encode_elements(epoch: u64, items: &[(Key, u32, f64)]) -> Vec<u8> {
+/// Encodes an elements frame. Every assignment index must fit `u32` (the
+/// journal checks before encoding).
+pub(crate) fn encode_elements(epoch: u64, items: &[(Key, usize, f64)]) -> Vec<u8> {
     debug_assert!(items.len() <= MAX_ELEMENTS_PER_FRAME);
     let mut payload = payload_prefix(KIND_ELEMENTS, epoch, 4 + items.len() * ELEMENT_STRIDE);
     payload.extend_from_slice(&(items.len() as u32).to_le_bytes());
     for &(key, assignment, weight) in items {
         payload.extend_from_slice(&key.to_le_bytes());
-        payload.extend_from_slice(&assignment.to_le_bytes());
+        payload.extend_from_slice(&(assignment as u32).to_le_bytes());
         payload.extend_from_slice(&weight.to_bits().to_le_bytes());
     }
     finish_frame(payload)
@@ -216,17 +219,18 @@ pub(crate) fn decode_frame(bytes: &[u8], num_assignments: usize) -> DecodeStep {
                 return DecodeStep::Torn { reason: "records frame length mismatch" };
             }
             let mut keys = Vec::with_capacity(count);
-            let mut weights = Vec::with_capacity(count * num_assignments);
+            let mut lanes = vec![Vec::with_capacity(count); num_assignments];
             let mut at = 4;
             for _ in 0..count {
                 keys.push(read_u64(&body[at..]));
                 at += 8;
-                for _ in 0..num_assignments {
-                    weights.push(f64::from_bits(read_u64(&body[at..])));
+                for lane in &mut lanes {
+                    lane.push(f64::from_bits(read_u64(&body[at..])));
                     at += 8;
                 }
             }
-            DecodeStep::Frame { payload: FramePayload::Records { epoch, keys, weights }, consumed }
+            let columns = RecordColumns::from_parts(keys, lanes);
+            DecodeStep::Frame { payload: FramePayload::Records { epoch, columns }, consumed }
         }
         KIND_ELEMENTS => {
             if body.len() < 4 {
@@ -240,7 +244,7 @@ pub(crate) fn decode_frame(bytes: &[u8], num_assignments: usize) -> DecodeStep {
             let mut at = 4;
             for _ in 0..count {
                 let key = read_u64(&body[at..]);
-                let assignment = read_u32(&body[at + 8..]);
+                let assignment = read_u32(&body[at + 8..]) as usize;
                 let weight = f64::from_bits(read_u64(&body[at + 12..]));
                 items.push((key, assignment, weight));
                 at += ELEMENT_STRIDE;
@@ -267,22 +271,18 @@ mod tests {
 
     #[test]
     fn frames_round_trip_bit_exactly() {
-        let weights = [1.5, f64::MIN_POSITIVE, 0.1 + 0.2];
-        let frame =
-            encode_records(7, &[10, u64::MAX], &[weights[0], weights[1], weights[2], 4.0], 2);
+        let weights = [1.5, f64::MIN_POSITIVE, 0.1 + 0.2, 4.0];
+        let frame = encode_records(
+            7,
+            &[10, u64::MAX],
+            &[&[weights[0], weights[2]], &[weights[1], weights[3]]],
+        );
         match decode_one(&frame, 2) {
-            FramePayload::Records { epoch, keys, weights: decoded } => {
-                assert_eq!((epoch, keys), (7, vec![10, u64::MAX]));
-                let bits: Vec<u64> = decoded.iter().map(|w| w.to_bits()).collect();
-                assert_eq!(
-                    bits,
-                    vec![
-                        weights[0].to_bits(),
-                        weights[1].to_bits(),
-                        weights[2].to_bits(),
-                        4.0f64.to_bits()
-                    ]
-                );
+            FramePayload::Records { epoch, columns } => {
+                assert_eq!((epoch, columns.keys()), (7, &[10, u64::MAX][..]));
+                let bits = |lane: &[f64]| lane.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(columns.lane(0)), bits(&[weights[0], weights[2]]));
+                assert_eq!(bits(columns.lane(1)), bits(&[weights[1], weights[3]]));
             }
             other => panic!("{other:?}"),
         }
@@ -303,9 +303,52 @@ mod tests {
         }
     }
 
+    /// Pins the version-1 records layout byte for byte: a frame encoded
+    /// from columns must equal one assembled by hand from the layout in
+    /// the module docs, so journals written by earlier builds still replay.
+    #[test]
+    fn records_frame_matches_the_documented_layout_byte_for_byte() {
+        let keys = [3u64, 0x0102_0304_0506_0708, u64::MAX];
+        let lane0 = [1.0, 0.5, f64::MIN_POSITIVE];
+        let lane1 = [2.0, 0.0, 1e300];
+        let frame = encode_records(0x0A0B_0C0D, &keys, &[&lane0, &lane1]);
+
+        let mut payload = vec![KIND_RECORDS];
+        payload.extend_from_slice(&0x0A0B_0C0Du64.to_le_bytes());
+        payload.extend_from_slice(&3u32.to_le_bytes());
+        for index in 0..3 {
+            payload.extend_from_slice(&keys[index].to_le_bytes());
+            payload.extend_from_slice(&lane0[index].to_bits().to_le_bytes());
+            payload.extend_from_slice(&lane1[index].to_bits().to_le_bytes());
+        }
+        assert_eq!(payload.len(), PAYLOAD_PREFIX + 4 + 3 * record_stride(2));
+        let mut expected = (payload.len() as u32).to_le_bytes().to_vec();
+        expected.extend_from_slice(&frame_checksum(&payload).to_le_bytes());
+        expected.extend_from_slice(&payload);
+        assert_eq!(frame, expected);
+        // Literal bytes, so the hand-built vector cannot drift along with
+        // the encoder or the checksum: length, checksum, kind, epoch,
+        // count, first key, first weight.
+        assert_eq!(&frame[..4], &[85, 0, 0, 0]);
+        assert_eq!(&frame[4..12], &[255, 251, 229, 30, 156, 213, 185, 206]);
+        assert_eq!(frame[12], 1);
+        assert_eq!(&frame[13..21], &[0x0D, 0x0C, 0x0B, 0x0A, 0, 0, 0, 0]);
+        assert_eq!(&frame[21..25], &[3, 0, 0, 0]);
+        assert_eq!(&frame[25..33], &[3, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(&frame[33..41], &1.0f64.to_bits().to_le_bytes());
+        match decode_one(&frame, 2) {
+            FramePayload::Records { columns, .. } => {
+                assert_eq!(columns.keys(), keys);
+                assert_eq!(columns.lane(0), lane0);
+                assert_eq!(columns.lane(1), lane1);
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
     #[test]
     fn every_truncation_point_is_torn_never_panics() {
-        let frame = encode_records(1, &[1, 2, 3], &[1.0, 2.0, 3.0], 1);
+        let frame = encode_records(1, &[1, 2, 3], &[&[1.0, 2.0, 3.0]]);
         for cut in 0..frame.len() {
             match decode_frame(&frame[..cut], 1) {
                 DecodeStep::End => assert_eq!(cut, 0),
@@ -333,7 +376,7 @@ mod tests {
     fn structurally_invalid_payloads_are_torn_even_with_a_valid_checksum() {
         // A records frame whose declared count disagrees with its length,
         // re-checksummed so only structural validation can catch it.
-        let mut frame = encode_records(1, &[1], &[1.0], 1);
+        let mut frame = encode_records(1, &[1], &[&[1.0]]);
         let count_at = FRAME_HEADER_BYTES + PAYLOAD_PREFIX;
         frame[count_at] = 2;
         let payload = frame[FRAME_HEADER_BYTES..].to_vec();

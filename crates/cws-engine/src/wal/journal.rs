@@ -349,56 +349,53 @@ impl Journal {
         }
     }
 
-    /// Journals one whole record under `epoch`.
+    /// Journals one whole record under `epoch` (a one-record records
+    /// frame: each weight is its own one-entry lane).
     pub(crate) fn append_record(&mut self, epoch: u64, key: Key, weights: &[f64]) -> Result<()> {
         self.check_record_shape(weights.len())?;
-        let frame = encode_records(epoch, &[key], weights, self.num_assignments);
+        let lanes: Vec<&[f64]> = weights.iter().map(std::slice::from_ref).collect();
+        let frame = encode_records(epoch, &[key], &lanes);
         self.append_frame(&frame, false, epoch)
     }
 
-    /// Journals a columnar batch under `epoch`, chunked to the frame cap.
+    /// Journals a columnar batch under `epoch`, chunked to the frame cap;
+    /// the frames are encoded straight from the batch's key column and
+    /// weight lanes.
     pub(crate) fn append_columns(&mut self, epoch: u64, columns: &RecordColumns) -> Result<()> {
         self.check_record_shape(columns.num_assignments())?;
         let keys = columns.keys();
         let cap = max_records_per_frame(self.num_assignments);
-        let mut row = Vec::with_capacity(self.num_assignments);
-        let mut start = 0;
-        while start < keys.len() {
-            let len = cap.min(keys.len() - start);
-            let mut weights = Vec::with_capacity(len * self.num_assignments);
-            for index in start..start + len {
-                columns.copy_row_into(index, &mut row);
-                weights.extend_from_slice(&row);
-            }
-            let frame =
-                encode_records(epoch, &keys[start..start + len], &weights, self.num_assignments);
+        for start in (0..keys.len()).step_by(cap) {
+            let span = start..keys.len().min(start + cap);
+            let lanes: Vec<&[f64]> = (0..self.num_assignments)
+                .map(|assignment| &columns.lane(assignment)[span.clone()])
+                .collect();
+            let frame = encode_records(epoch, &keys[span.clone()], &lanes);
             self.append_frame(&frame, false, epoch)?;
-            start += len;
         }
         Ok(())
     }
 
     /// Journals unaggregated elements under `epoch`, chunked to the frame
     /// cap. Assignment indices must fit `u32` (anything larger could not
-    /// round-trip); semantic validation stays with the pipeline so replay
-    /// reproduces its accept/reject decisions exactly.
+    /// round-trip) and are checked before anything is written; semantic
+    /// validation stays with the pipeline so replay reproduces its
+    /// accept/reject decisions exactly.
     pub(crate) fn append_elements(
         &mut self,
         epoch: u64,
         elements: &[(Key, usize, f64)],
     ) -> Result<()> {
-        let mut items = Vec::with_capacity(elements.len().min(MAX_ELEMENTS_PER_FRAME));
-        for chunk in elements.chunks(MAX_ELEMENTS_PER_FRAME.max(1)) {
-            items.clear();
-            for &(key, assignment, weight) in chunk {
-                let assignment =
-                    u32::try_from(assignment).map_err(|_| CwsError::InvalidParameter {
-                        name: "assignment",
-                        message: format!("assignment index {assignment} does not fit the journal"),
-                    })?;
-                items.push((key, assignment, weight));
-            }
-            let frame = encode_elements(epoch, &items);
+        if let Some(&(_, assignment, _)) =
+            elements.iter().find(|&&(_, assignment, _)| u32::try_from(assignment).is_err())
+        {
+            return Err(CwsError::InvalidParameter {
+                name: "assignment",
+                message: format!("assignment index {assignment} does not fit the journal"),
+            });
+        }
+        for chunk in elements.chunks(MAX_ELEMENTS_PER_FRAME) {
+            let frame = encode_elements(epoch, chunk);
             self.append_frame(&frame, false, epoch)?;
         }
         Ok(())

@@ -14,14 +14,26 @@ use crate::store::{RecoveryReport, SnapshotStore};
 pub struct ReplayReport {
     /// Data frames whose records were replayed into the current epoch.
     pub frames_replayed: usize,
-    /// Records/elements re-ingested through the normal `Ingest` path.
+    /// Records/elements the replayed pushes accepted (the growth of the
+    /// pipeline's `processed()` count). Each frame replays through the
+    /// batch call that journaled it, so this equals what the original run
+    /// ingested from the same frames.
     pub records_replayed: u64,
     /// Records/elements skipped because a durable snapshot already covers
     /// their epoch (their segments simply had not been pruned yet).
     pub records_skipped: u64,
-    /// Replayed records the pipeline rejected — exactly the records the
-    /// original run rejected too (invalid weights replay bit-exactly and
-    /// fail the same validation), so these were never in any summary.
+    /// Replayed records the pipeline rejected or quarantined — exactly the
+    /// records the original run did not ingest, so these were never in any
+    /// summary. Exact because each frame replays through the call that
+    /// journaled it (`push_columns` for records, `push_elements` for
+    /// elements, the scalar calls for their one-record / one-element
+    /// frames) with its weights bit-exact, and a summary is a
+    /// deterministic function of its pushes: a batch the original run
+    /// rejected part-way (whole chunks, the whole batch, or the records
+    /// from the bad one on, depending on the back-end) is rejected
+    /// identically. The one limit is a push larger than one frame (about
+    /// 932k records at 8 assignments, or 3.36M elements), which replays
+    /// frame by frame.
     pub rejected_records: u64,
     /// Bytes removed by torn-tail truncation when the journal was opened.
     pub truncated_bytes: u64,
@@ -48,12 +60,14 @@ pub struct DurableRecovery {
 ///
 /// Opens the journal (truncating torn tails, quarantining condemned
 /// segments), recovers the snapshot store, resumes serving from the
-/// highest clean snapshot, and replays the journal tail — every record not
-/// covered by a durable snapshot — through the same [`Ingest`] path the
-/// original run used. Because a coordinated summary is a deterministic
-/// function of `(records, seed)` and weights are journaled as raw bit
-/// patterns, the recovered pipeline's next publish is **bit-identical** to
-/// the undisturbed run's.
+/// highest clean snapshot, and replays the journal tail — every frame not
+/// covered by a durable snapshot — through the call that journaled it
+/// ([`Ingest::push_columns`] for records, `push_elements` for elements,
+/// the scalar calls for their one-record / one-element frames). Because a coordinated summary is a deterministic function
+/// of `(records, seed)` and weights are journaled as raw bit patterns, the
+/// recovered pipeline's next publish is **bit-identical** to the
+/// undisturbed run's, down to which records of a partly rejected batch
+/// were ingested.
 ///
 /// A record is replayed when its epoch tag is newer than the last good
 /// snapshot, *or* when its epoch has no snapshot on disk (a publish that
@@ -61,7 +75,7 @@ pub struct DurableRecovery {
 /// quarantined) — replay is conservative toward re-ingesting, never toward
 /// losing.
 ///
-/// [`Ingest`]: crate::ingest::Ingest
+/// [`Ingest::push_columns`]: crate::ingest::Ingest::push_columns
 ///
 /// # Errors
 /// [`CwsError::InvalidParameter`] when `builder` has no

@@ -223,7 +223,7 @@ mod tests {
     #[test]
     fn scan_stops_at_the_first_bad_frame() {
         let mut bytes = encode_header(0, 1).to_vec();
-        bytes.extend_from_slice(&encode_records(1, &[7], &[1.0], 1));
+        bytes.extend_from_slice(&encode_records(1, &[7], &[&[1.0]]));
         bytes.extend_from_slice(&encode_barrier(1));
         let clean = scan_frames(&bytes, 1);
         assert_eq!(clean.frames.len(), 2);

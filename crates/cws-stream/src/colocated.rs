@@ -103,38 +103,6 @@ impl ColocatedStreamSampler {
         Ok(())
     }
 
-    /// Alias of [`ColocatedStreamSampler::push`] under the name every
-    /// multi-assignment sampler shares, so record-shaped ingestion code can
-    /// treat the back-ends uniformly.
-    ///
-    /// # Errors
-    /// As [`ColocatedStreamSampler::push`].
-    ///
-    /// # Panics
-    /// As [`ColocatedStreamSampler::push`].
-    #[inline]
-    pub fn push_record(&mut self, key: Key, weights: &[f64]) -> Result<()> {
-        self.push(key, weights)
-    }
-
-    /// Processes a batch of row-major records.
-    ///
-    /// # Errors
-    /// As [`ColocatedStreamSampler::push`]; records before the offending one
-    /// were ingested.
-    ///
-    /// # Panics
-    /// As [`ColocatedStreamSampler::push`].
-    pub fn push_batch<'a, I>(&mut self, records: I) -> Result<()>
-    where
-        I: IntoIterator<Item = (Key, &'a [f64])>,
-    {
-        for (key, weights) in records {
-            self.push(key, weights)?;
-        }
-        Ok(())
-    }
-
     /// Processes a structure-of-arrays batch.
     ///
     /// The colocated summary must retain the full weight vector of every
@@ -290,20 +258,6 @@ mod tests {
         let config = SummaryConfig::new(5, RankFamily::Ipps, CoordinationMode::SharedSeed, 1);
         let mut sampler = ColocatedStreamSampler::new(config, 3);
         let _ = sampler.push(1, &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn push_record_and_push_batch_alias_push() {
-        let data = fixture();
-        let config = SummaryConfig::new(20, RankFamily::Ipps, CoordinationMode::SharedSeed, 11);
-        let mut by_push = ColocatedStreamSampler::new(config, 3);
-        for (key, weights) in data.iter() {
-            by_push.push(key, weights).unwrap();
-        }
-        let mut by_alias = ColocatedStreamSampler::new(config, 3);
-        by_alias.push_batch(data.iter()).unwrap();
-        assert_eq!(by_alias.processed(), 700);
-        assert_eq!(by_push.finalize(), by_alias.finalize());
     }
 
     #[test]

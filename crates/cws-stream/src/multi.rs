@@ -193,28 +193,6 @@ impl MultiAssignmentStreamSampler {
         self.push_columns_split(&record)
     }
 
-    /// Processes a batch of row-major records.
-    ///
-    /// This is the record-at-a-time convenience route; the
-    /// structure-of-arrays fast path is
-    /// [`MultiAssignmentStreamSampler::push_columns`].
-    ///
-    /// # Errors
-    /// As [`MultiAssignmentStreamSampler::push_record`]; records before the
-    /// offending one were ingested.
-    ///
-    /// # Panics
-    /// Panics if any vector length differs from the number of assignments.
-    pub fn push_batch<'a, I>(&mut self, records: I) -> Result<()>
-    where
-        I: IntoIterator<Item = (Key, &'a [f64])>,
-    {
-        for (key, weights) in records {
-            self.push_record(key, weights)?;
-        }
-        Ok(())
-    }
-
     /// Processes a structure-of-arrays batch — the ingestion fast path.
     ///
     /// Bit-identical to feeding each record through
@@ -494,7 +472,9 @@ mod tests {
         let data = fixture(3);
         let config = SummaryConfig::new(25, RankFamily::Ipps, CoordinationMode::SharedSeed, 7);
         let mut sampler = MultiAssignmentStreamSampler::new(config, 3);
-        sampler.push_batch(data.iter()).unwrap();
+        for (key, weights) in data.iter() {
+            sampler.push_record(key, weights).unwrap();
+        }
         assert_eq!(sampler.finalize().unwrap(), DispersedSummary::build(&data, &config));
     }
 
@@ -505,7 +485,9 @@ mod tests {
                 let data = fixture(4);
                 let config = SummaryConfig::new(32, family, mode, 2024);
                 let mut scalar = MultiAssignmentStreamSampler::new(config, 4);
-                scalar.push_batch(data.iter()).unwrap();
+                for (key, weights) in data.iter() {
+                    scalar.push_record(key, weights).unwrap();
+                }
                 let mut columnar = MultiAssignmentStreamSampler::new(config, 4);
                 columnar.push_columns(&data.to_columns()).unwrap();
                 assert_eq!(columnar.processed(), 900);
@@ -548,7 +530,9 @@ mod tests {
             for family in [RankFamily::Ipps, RankFamily::Exp] {
                 let config = SummaryConfig::new(16, family, mode, 99);
                 let mut sequential = MultiAssignmentStreamSampler::new(config, 7);
-                sequential.push_batch(data.iter()).unwrap();
+                for (key, weights) in data.iter() {
+                    sequential.push_record(key, weights).unwrap();
+                }
                 let expected = sequential.finalize().unwrap();
                 for workers in [1, 2, 3, 8] {
                     let mut split = MultiAssignmentStreamSampler::with_workers(config, 7, workers);

@@ -28,7 +28,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use coordinated_sampling::core::{CwsError, FaultPlan, ResourceBudget, WorkerFault};
+use coordinated_sampling::core::{CwsError, FaultPlan, RecordColumns, ResourceBudget, WorkerFault};
 use coordinated_sampling::prelude::*;
 
 /// A fresh scratch directory under the OS temp dir (no tempfile crate in
@@ -507,4 +507,113 @@ fn multi_seed_wal_stress_converges() {
         fs::write(target, &bytes).unwrap();
         recover_and_check(&wal, &store_dir, p, n, &ref1, &ref2, &ctx);
     }
+}
+
+/// Journals `pushes` into a fresh epoched pipeline built from `builder`,
+/// "crashes" it, recovers, and proves replay went through the same batch
+/// calls: the recovered current epoch is bit-identical to the live one and
+/// the replay accepted exactly what the live run ingested.
+fn assert_replay_matches_live(
+    tag: &str,
+    builder: PipelineBuilder,
+    pushes: &dyn Fn(&mut EpochedPipeline),
+) {
+    let wal = scratch_dir(&format!("{tag}-wal"));
+    let store_dir = scratch_dir(&format!("{tag}-store"));
+    let config = || WalConfig::new(&wal).sync(SyncPolicy::OnRotate);
+    let mut live = EpochedPipeline::new(builder.clone().journal(config())).unwrap();
+    pushes(&mut live);
+    let live_bytes = live.current().snapshot().unwrap().to_bytes();
+    let live_processed = live.processed();
+    let live_quarantined = live.quarantined_lifetime().map(|q| q.count);
+    drop(live); // the crash
+
+    let mut store = SnapshotStore::open(&store_dir, 4).unwrap();
+    let recovery = recover_from_store_and_wal(builder.journal(config()), &mut store).unwrap();
+    assert_eq!(
+        recovery.replay.records_replayed, live_processed,
+        "{tag}: replay must accept exactly what the live run ingested"
+    );
+    assert_eq!(
+        recovery.pipeline.current().snapshot().unwrap().to_bytes(),
+        live_bytes,
+        "{tag}: the recovered epoch must be bit-identical to the live one"
+    );
+    assert_eq!(
+        recovery.pipeline.quarantined_lifetime().map(|q| q.count),
+        live_quarantined,
+        "{tag}: replay must quarantine exactly what the live run quarantined"
+    );
+    fs::remove_dir_all(&wal).unwrap();
+    fs::remove_dir_all(&store_dir).unwrap();
+}
+
+/// A journaled push replays through the batch call that wrote it, so a
+/// batch the live run rejected part of replays with the same rejection.
+/// The three back-ends reject a column batch with a NaN at record 1,500 at
+/// different granularities (dispersed: whole 1,024-record chunks;
+/// `Sharded(2)`: the whole batch; colocated: the records from the NaN on),
+/// and a key-capped `SumByKey` stage flushes early before a batch whose new
+/// keys straddle the cap — replaying record by record or element by
+/// element reproduces none of these.
+#[test]
+fn replay_reproduces_each_journaled_batch_call_exactly() {
+    let assignments = 3;
+    let base = || Pipeline::builder().assignments(assignments).k(16).seed(4242);
+    let batch = |first: u64, len: u64, nan_at: Option<u64>| {
+        let mut columns = RecordColumns::with_capacity(assignments, len as usize);
+        for key in first..first + len {
+            let mut row = [((key % 13) + 1) as f64, ((key % 5) + 1) as f64, (key % 3) as f64];
+            if nan_at == Some(key - first) {
+                row[1] = f64::NAN;
+            }
+            columns.push(key, &row);
+        }
+        columns
+    };
+    let column_pushes = |pipeline: &mut EpochedPipeline| {
+        pipeline.push_columns(&batch(0, 500, None)).unwrap();
+        assert!(pipeline.push_columns(&batch(500, 2_048, Some(1_500))).is_err());
+        pipeline.push_columns(&batch(10_000, 300, None)).unwrap();
+    };
+    for (tag, builder) in [
+        ("nan-dispersed", base().layout(Layout::Dispersed)),
+        ("nan-sharded", base().layout(Layout::Dispersed).execution(Execution::Sharded(2))),
+        ("nan-colocated", base().layout(Layout::Colocated)),
+    ] {
+        assert_replay_matches_live(tag, builder, &column_pushes);
+    }
+
+    // Key cap 40: each batch's own keys fit, but batch 2's new keys
+    // straddle the cap, so the live run flushes once, before batch 2 —
+    // element-at-a-time replay would flush mid-batch at the 41st key
+    // instead. A NaN fragment is quarantined by the batch call.
+    let elements = |keys: std::ops::Range<u64>| -> Vec<(u64, usize, f64)> {
+        let mut out = Vec::new();
+        for key in keys {
+            for assignment in 0..assignments {
+                out.push((key, assignment, ((key * 7 + assignment as u64) % 11 + 1) as f64));
+                out.push((key, assignment, 0.5));
+            }
+        }
+        out
+    };
+    let element_pushes = |pipeline: &mut EpochedPipeline| {
+        pipeline.push_elements(&elements(0..30)).unwrap();
+        let mut straddling = elements(20..55);
+        straddling[7].2 = f64::NAN;
+        pipeline.push_elements(&straddling).unwrap();
+        // The scalar call rejects its poison element with an error rather
+        // than quarantining it, and so must its replay.
+        assert!(pipeline.push_element(3, 0, f64::NAN).is_err());
+        pipeline.push_elements(&elements(55..70)).unwrap();
+    };
+    let capped = |layout| {
+        base()
+            .layout(layout)
+            .aggregation(Aggregation::SumByKey)
+            .budget(ResourceBudget::unlimited().with_max_keys(40))
+    };
+    assert_replay_matches_live("capped-dispersed", capped(Layout::Dispersed), &element_pushes);
+    assert_replay_matches_live("capped-colocated", capped(Layout::Colocated), &element_pushes);
 }
