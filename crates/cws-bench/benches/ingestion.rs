@@ -9,8 +9,6 @@
 //! * `multi_assignment` — per-assignment hashing (`DispersedStreamSampler`)
 //!   vs the hash-once record/row-batch/column APIs
 //!   (`MultiAssignmentStreamSampler`).
-//! * `sharded` — the hash-once sampler with 1/2/4/8 workers, per-record
-//!   pushes (always inline) vs column batches split over the workers.
 //! * `aggregation` — the `Pipeline` facade's `SumByKey` pre-aggregation
 //!   stage absorbing an unaggregated element stream (2–5 fragments per
 //!   slot) and draining into the hash-once sampler.
@@ -29,8 +27,6 @@ use cws_core::weights::MultiWeighted;
 
 const ASSIGNMENTS: usize = 8;
 const K: usize = 256;
-/// Records per column batch on the sharded route.
-const SHARED_BATCH: usize = 8192;
 
 fn num_keys() -> usize {
     if quick_mode() {
@@ -97,23 +93,6 @@ fn bench_multi_assignment(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sharded(c: &mut Criterion) {
-    let data = dataset();
-    let batches = columns().split(SHARED_BATCH);
-    let config = config();
-    let mut group = c.benchmark_group("sharded");
-    group.sample_size(samples()).throughput(Throughput::Elements(data.num_keys() as u64));
-    for shards in [1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::new("records", shards), &shards, |b, &shards| {
-            b.iter(|| black_box(workloads::sharded(&data, config, shards)));
-        });
-        group.bench_with_input(BenchmarkId::new("columns", shards), &shards, |b, &shards| {
-            b.iter(|| black_box(workloads::sharded_columns(&batches, config, shards)));
-        });
-    }
-    group.finish();
-}
-
 fn bench_aggregation(c: &mut Criterion) {
     let elements = cws_bench::ingestion_elements(num_keys(), ASSIGNMENTS);
     let config = config();
@@ -125,11 +104,5 @@ fn bench_aggregation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_single_push,
-    bench_multi_assignment,
-    bench_sharded,
-    bench_aggregation
-);
+criterion_group!(benches, bench_single_push, bench_multi_assignment, bench_aggregation);
 criterion_main!(benches);

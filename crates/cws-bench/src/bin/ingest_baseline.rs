@@ -1,10 +1,9 @@
 //! Regenerates the ingestion- and query-performance baseline
-//! (`BENCH_pr10.json`).
+//! (`BENCH_pr16.json`).
 //!
 //! Measures the layers of the ingestion hot path — single-assignment push
 //! throughput (scalar and batched), per-assignment hashing vs the hash-once
-//! row and column paths, sharded scaling (the hash-once sampler with several
-//! workers) over both per-record pushes and column batches, and the `Pipeline` facade's `SumByKey`
+//! row and column paths, and the `Pipeline` facade's `SumByKey`
 //! pre-aggregation stage over an unaggregated element stream (ungoverned
 //! and under a byte-tracking budget, which also records the stage's peak
 //! tracked bytes) — on the synthetic Zipf workload, and emits a JSON
@@ -47,9 +46,6 @@ use cws_core::weights::MultiWeighted;
 
 const ASSIGNMENTS: usize = 8;
 const K: usize = 256;
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-/// Records per column batch on the sharded route.
-const SHARED_BATCH: usize = 8192;
 
 struct Options {
     quick: bool,
@@ -92,15 +88,12 @@ fn measure<F: FnMut() -> usize>(records: usize, reps: usize, mut routine: F) -> 
 struct Baseline {
     quick: bool,
     num_keys: usize,
-    cpu_parallelism: usize,
     single_keys_per_sec: f64,
     single_batch_keys_per_sec: f64,
     per_assignment_records_per_sec: f64,
     hash_once_records_per_sec: f64,
     hash_once_batch_records_per_sec: f64,
     hash_once_columns_records_per_sec: f64,
-    /// Per worker count: (shards, per-record route, column route).
-    sharded_records_per_sec: Vec<(usize, f64, f64)>,
     /// Size of the unaggregated element stream (2–5 fragments per slot).
     num_elements: usize,
     /// The `SumByKey` pre-aggregation stage, in elements per second.
@@ -129,7 +122,6 @@ fn run_baseline(quick: bool) -> Baseline {
     let reps = if quick { 3 } else { 7 };
     let data: MultiWeighted = ingestion_dataset(num_keys, ASSIGNMENTS);
     let columns = ingestion_columns(num_keys, ASSIGNMENTS);
-    let batches = columns.split(SHARED_BATCH);
     let config = SummaryConfig::new(K, RankFamily::Ipps, CoordinationMode::SharedSeed, 7);
     let generator = RankGenerator::new(RankFamily::Ipps, CoordinationMode::SharedSeed, 7)
         .expect("valid combination");
@@ -232,36 +224,15 @@ fn run_baseline(quick: bool) -> Baseline {
     }
     let _ = std::fs::remove_dir_all(&journal_dir);
 
-    let cpu_parallelism = std::thread::available_parallelism().map_or(1, usize::from);
-    if cpu_parallelism == 1 {
-        eprintln!(
-            "[ingest_baseline] cpu_parallelism=1: sharded throughput is still recorded, but \
-             scaling claims are emitted as null (nothing can honestly scale on one core)"
-        );
-    }
-    let mut sharded_records_per_sec = Vec::new();
-    for shards in SHARD_COUNTS {
-        let record_rate = measure(num_keys, reps, || workloads::sharded(&data, config, shards));
-        let column_rate =
-            measure(num_keys, reps, || workloads::sharded_columns(&batches, config, shards));
-        eprintln!(
-            "[ingest_baseline] sharded x{shards}: {record_rate:.3e} records/s per-record, \
-             {column_rate:.3e} records/s columns"
-        );
-        sharded_records_per_sec.push((shards, record_rate, column_rate));
-    }
-
     Baseline {
         quick,
         num_keys,
-        cpu_parallelism,
         single_keys_per_sec,
         single_batch_keys_per_sec,
         per_assignment_records_per_sec,
         hash_once_records_per_sec,
         hash_once_batch_records_per_sec,
         hash_once_columns_records_per_sec,
-        sharded_records_per_sec,
         num_elements: elements.len(),
         sum_by_key_elements_per_sec,
         sum_by_key_governed_elements_per_sec,
@@ -278,20 +249,12 @@ fn to_json(b: &Baseline) -> String {
     let speedup = b.hash_once_batch_records_per_sec / b.per_assignment_records_per_sec;
     let columns_speedup = b.hash_once_columns_records_per_sec / b.per_assignment_records_per_sec;
     let batch_speedup = b.single_batch_keys_per_sec / b.single_keys_per_sec;
-    let base_rate = b.sharded_records_per_sec[0].2;
-    // Honesty gate: on a 1-core box the sharded "scaling" numbers measure
-    // context switching, not parallelism — the ratios would be systematically
-    // misleading, so they are emitted as `null` (keys stay put for the
-    // `--check` schema guard) and flagged.
-    let scaling_claims_valid = b.cpu_parallelism > 1;
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"cws-ingestion-baseline/v7\",\n");
+    out.push_str("  \"schema\": \"cws-ingestion-baseline/v8\",\n");
     out.push_str(
         "  \"generated_by\": \"cargo run --release -p cws-bench --bin ingest_baseline\",\n",
     );
     out.push_str(&format!("  \"quick\": {},\n", b.quick));
-    out.push_str(&format!("  \"cpu_parallelism\": {},\n", b.cpu_parallelism));
-    out.push_str(&format!("  \"scaling_claims_valid\": {scaling_claims_valid},\n"));
     out.push_str("  \"dataset\": {\n");
     out.push_str(&format!("    \"num_keys\": {},\n", b.num_keys));
     out.push_str(&format!("    \"num_assignments\": {ASSIGNMENTS},\n"));
@@ -369,26 +332,7 @@ fn to_json(b: &Baseline) -> String {
         ));
     }
     out.push_str("    ]\n");
-    out.push_str("  },\n");
-    out.push_str("  \"sharded\": [\n");
-    for (i, &(shards, record_rate, column_rate)) in b.sharded_records_per_sec.iter().enumerate() {
-        let comma = if i + 1 < b.sharded_records_per_sec.len() { "," } else { "" };
-        let (speedup_claim, share_claim) = if scaling_claims_valid {
-            (
-                format!("{:.2}", column_rate / base_rate),
-                format!("{:.2}", column_rate / b.hash_once_columns_records_per_sec),
-            )
-        } else {
-            ("null".to_string(), "null".to_string())
-        };
-        out.push_str(&format!(
-            "    {{ \"shards\": {shards}, \"records_per_sec\": {record_rate:.1}, \
-             \"columns_records_per_sec\": {column_rate:.1}, \
-             \"columns_speedup_vs_1_shard\": {speedup_claim}, \
-             \"columns_share_of_unsharded\": {share_claim} }}{comma}\n",
-        ));
-    }
-    out.push_str("  ]\n");
+    out.push_str("  }\n");
     out.push_str("}\n");
     out
 }

@@ -109,7 +109,7 @@ pub mod workloads {
         for (key, weights) in data.iter() {
             sampler.push_record(key, weights).expect("valid weights");
         }
-        sampler.finalize().expect("no worker failure").num_distinct_keys()
+        sampler.finalize().num_distinct_keys()
     }
 
     /// The hash-once path fed through the row-major batch adapter
@@ -117,7 +117,7 @@ pub mod workloads {
     pub fn hash_once_batch(data: &MultiWeighted, config: SummaryConfig) -> usize {
         let mut sampler = MultiAssignmentStreamSampler::new(config, data.num_assignments());
         Ingest::push_batch(&mut sampler, data.iter()).expect("valid weights");
-        sampler.finalize().expect("no worker failure").num_distinct_keys()
+        sampler.finalize().num_distinct_keys()
     }
 
     /// The hash-once path fed as structure-of-arrays columns (the chunked
@@ -125,16 +125,7 @@ pub mod workloads {
     pub fn hash_once_columns(columns: &RecordColumns, config: SummaryConfig) -> usize {
         let mut sampler = MultiAssignmentStreamSampler::new(config, columns.num_assignments());
         sampler.push_columns(columns).expect("valid weights");
-        sampler.finalize().expect("no worker failure").num_distinct_keys()
-    }
-
-    /// The hash-once sampler with `shards` workers, fed record-at-a-time
-    /// (record pushes always run inline on the caller).
-    pub fn sharded(data: &MultiWeighted, config: SummaryConfig, shards: usize) -> usize {
-        let mut sampler =
-            MultiAssignmentStreamSampler::with_workers(config, data.num_assignments(), shards);
-        Ingest::push_batch(&mut sampler, data.iter()).expect("valid weights");
-        sampler.finalize().expect("no worker failure").num_distinct_keys()
+        sampler.finalize().num_distinct_keys()
     }
 
     /// Records per batch handed to `Pipeline::push_elements` — the arrival
@@ -281,22 +272,6 @@ pub mod workloads {
     pub fn batched_fleet(summary: &Summary, batch: &QueryBatch) -> usize {
         batch.execute(summary).expect("valid batch").iter().map(|report| report.observed_keys).sum()
     }
-
-    /// The hash-once sampler with `shards` workers, fed pre-chunked column
-    /// batches: each push splits the assignments over the workers.
-    pub fn sharded_columns(
-        batches: &[RecordColumns],
-        config: SummaryConfig,
-        shards: usize,
-    ) -> usize {
-        let num_assignments = batches.first().map_or(1, RecordColumns::num_assignments);
-        let mut sampler =
-            MultiAssignmentStreamSampler::with_workers(config, num_assignments, shards);
-        for batch in batches {
-            sampler.push_columns(batch).expect("valid weights");
-        }
-        sampler.finalize().expect("no worker failure").num_distinct_keys()
-    }
 }
 
 #[cfg(test)]
@@ -329,10 +304,6 @@ mod tests {
         );
         let expected = workloads::hash_once_batch(&data, config);
         assert_eq!(workloads::hash_once_columns(&columns, config), expected);
-        let batches = columns.split(512);
-        for shards in [1usize, 3] {
-            assert_eq!(workloads::sharded_columns(&batches, config, shards), expected);
-        }
 
         let elements = ingestion_elements(3_000, 4);
         assert!(elements.len() > 3_000 * 4, "fragmentation multiplies the stream");

@@ -6,10 +6,8 @@
 //! [`RecordColumns`] stores a batch the other way round — one contiguous key
 //! column plus one contiguous weight *lane* per assignment — so that
 //!
-//! * the per-assignment threshold pre-filter scans a flat `&[f64]` lane
-//!   (auto-vectorizable, one threshold register, no per-record indirection);
-//! * parallel ingestion needs no copy: workers that split the assignments
-//!   each read their own lanes of one shared batch.
+//! the per-assignment threshold pre-filter scans a flat `&[f64]` lane
+//! (auto-vectorizable, one threshold register, no per-record indirection).
 //!
 //! The layout flows unchanged from the data generators (`cws-data`) down to
 //! `MultiAssignmentStreamSampler::push_columns`.

@@ -45,14 +45,6 @@ pub enum CwsError {
         /// The size of the relevant assignment set.
         relevant: usize,
     },
-    /// A parallel-ingestion worker thread panicked; the partial sample is
-    /// unusable and the whole pass must be re-run into a fresh sampler.
-    ShardWorkerPanicked {
-        /// Index of the worker that died.
-        shard: usize,
-        /// The panic payload, when it was a string.
-        message: String,
-    },
     /// A snapshot-store filesystem operation failed (create, write, fsync,
     /// rename, scan, remove). The store directory is never left in a state
     /// that `recover()` cannot repair: publishes are temp-file + fsync +
@@ -218,9 +210,6 @@ impl fmt::Display for CwsError {
             CwsError::InvalidDependenceOrder { ell, relevant } => {
                 write!(f, "dependence order ell={ell} must lie in 1..={relevant}")
             }
-            CwsError::ShardWorkerPanicked { shard, message } => {
-                write!(f, "shard {shard} worker thread panicked: {message}")
-            }
             CwsError::Store { op, path, message } => {
                 write!(f, "snapshot store `{op}` failed on `{path}`: {message}")
             }
@@ -264,10 +253,6 @@ mod tests {
 
         let e = CwsError::InvalidDependenceOrder { ell: 4, relevant: 2 };
         assert!(e.to_string().contains('4'));
-
-        let e = CwsError::ShardWorkerPanicked { shard: 3, message: "boom".into() };
-        assert!(e.to_string().contains("shard 3"));
-        assert!(e.to_string().contains("boom"));
 
         let e = CwsError::Store { op: "rename", path: "/tmp/x".into(), message: "denied".into() };
         assert!(e.to_string().contains("rename"));

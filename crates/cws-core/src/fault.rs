@@ -1,8 +1,8 @@
 //! Deterministic, seedable fault injection for robustness testing.
 //!
 //! A long-lived sampling service has to survive the failures the paper's
-//! model abstracts away: worker threads that panic mid-epoch and writes
-//! that are torn by a crash at an arbitrary byte offset.
+//! model abstracts away: writes that are torn by a crash at an arbitrary
+//! byte offset, and I/O that transfers less than asked or is interrupted.
 //! This module provides the *injection* half of that story — small,
 //! dependency-free wrappers that make those failures reproducible on
 //! demand, from ordinary integration tests, with no `cfg(test)` hooks:
@@ -21,9 +21,6 @@
 //!   sprinkle [`std::io::ErrorKind::Interrupted`] results on a seeded
 //!   schedule; correct callers must retry, incorrect ones surface
 //!   immediately.
-//! * [`WorkerFault`] — the typed faults a parallel-ingestion worker can be
-//!   instructed to exhibit (accepted by `cws-stream`'s
-//!   `MultiAssignmentStreamSampler::inject_worker_fault`).
 //!
 //! The wrappers live in the library proper (not behind `cfg(test)`) so the
 //! workspace-level fault battery, downstream crates, and ad-hoc operational
@@ -77,16 +74,6 @@ impl FaultPlan {
     pub fn coin(&mut self, one_in: u64) -> bool {
         self.next_below(one_in) == 0
     }
-}
-
-/// The typed faults a parallel-ingestion worker can be instructed to
-/// exhibit through the hash-once sampler's `inject_worker_fault`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum WorkerFault {
-    /// The worker panics on the next push, modelling a bug or abort inside
-    /// the per-assignment kernel.
-    Panic,
 }
 
 /// A writer that forwards faithfully until `limit` bytes have been written,

@@ -86,7 +86,7 @@ pub use error::{CodecErrorKind, CwsError, Result};
 pub use estimate::adjusted::AdjustedWeights;
 pub use estimate::colocated::{InclusiveEstimator, PlainEstimator};
 pub use estimate::dispersed::{DispersedEstimator, SelectionKind};
-pub use fault::{FaultPlan, WorkerFault};
+pub use fault::FaultPlan;
 pub use ranks::RankFamily;
 pub use summary::{ColocatedSummary, DispersedSummary, SummaryConfig};
 pub use variance::{normal_ci, ConfidenceInterval, Z_95};
@@ -103,7 +103,7 @@ pub mod prelude {
     pub use crate::estimate::adjusted::AdjustedWeights;
     pub use crate::estimate::colocated::{InclusiveEstimator, PlainEstimator};
     pub use crate::estimate::dispersed::{DispersedEstimator, SelectionKind};
-    pub use crate::fault::{FaultPlan, WorkerFault};
+    pub use crate::fault::FaultPlan;
     pub use crate::ranks::RankFamily;
     pub use crate::sketch::bottomk::BottomKSketch;
     pub use crate::sketch::kmins::KMinsSketch;

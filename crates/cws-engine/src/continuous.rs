@@ -9,8 +9,7 @@
 //!   [`publish`](EpochedPipeline::publish) atomically swaps in a fresh
 //!   pipeline built from the same configuration, finalizes the outgoing
 //!   epoch, and hands
-//!   back an immutable [`Arc<Summary>`] snapshot. Works with every back-end,
-//!   including sharded execution.
+//!   back an immutable [`Arc<Summary>`] snapshot. Works with every back-end.
 //! * [`WindowedPipeline`] — a ring of the last `N` published windows. All
 //!   windows share one configuration (and therefore one hash seed), so
 //!   consecutive coordinated windows overlap maximally — the paper's
@@ -25,11 +24,12 @@
 //! # Degraded-mode serving
 //!
 //! A long-lived service must keep answering queries through a failure. When
-//! [`publish`](EpochedPipeline::publish) fails — a parallel-ingestion worker
-//! panicked mid-epoch, the snapshot store rejected the write — the pipeline
-//! does **not** stop serving:
+//! [`publish`](EpochedPipeline::publish) or
+//! [`publish_into`](EpochedPipeline::publish_into) fails — the next
+//! epoch's pipeline could not be built, the journal barrier or the snapshot
+//! store rejected a write — the pipeline does **not** stop serving:
 //! [`latest`](EpochedPipeline::latest) keeps returning the last good
-//! snapshot, ingestion resumes into a fresh same-seed pipeline, and
+//! snapshot, ingestion continues, and
 //! [`degraded`](EpochedPipeline::degraded) reports the typed cause plus
 //! staleness counters ([`DegradedState`]). The first successful publish
 //! clears the state. Lost records are *counted, never hidden* — the
@@ -43,10 +43,10 @@
 //! *before* it is ingested, tagged with the epoch it will publish under.
 //! [`publish_into`](EpochedPipeline::publish_into) writes an epoch barrier
 //! (always fsynced) before swapping epochs and prunes fully-covered
-//! segments after the snapshot commits; a finalize failure heals itself by
-//! replaying the destroyed epoch's records straight back out of the
-//! journal, reported as [`DegradedState::records_replayable`] instead of
-//! `records_lost`. After a crash,
+//! segments after the snapshot commits; a store failure keeps the epoch's
+//! segments and reports its records as
+//! [`DegradedState::records_replayable`] instead of `records_lost`. After a
+//! crash,
 //! [`recover_from_store_and_wal`](crate::wal::recover_from_store_and_wal)
 //! restores the whole state — snapshot plus replayed tail — in one call.
 //!
@@ -90,8 +90,7 @@ pub struct DegradedState {
     /// [`records_replayable`](Self::records_replayable)).
     pub records_lost: u64,
     /// Records that are in no durable snapshot but **are** recoverable
-    /// from the write-ahead journal — either already healed back into the
-    /// current epoch (finalize failures) or waiting for
+    /// from the write-ahead journal, waiting for
     /// [`recover_from_store_and_wal`](crate::wal::recover_from_store_and_wal)
     /// (store-layer failures). Always zero without a journal.
     pub records_replayable: u64,
@@ -104,7 +103,7 @@ pub struct EpochReport {
     /// 1-based index of the epoch that was just closed.
     pub epoch: u64,
     /// Records (or aggregated fragments) ingested during that epoch alone —
-    /// uniform across back-ends, including sharded execution.
+    /// uniform across back-ends.
     pub records: u64,
     /// The immutable snapshot; share it, serialize it, or merge it with
     /// other epochs' snapshots of disjoint key ranges.
@@ -299,12 +298,8 @@ impl EpochedPipeline {
     /// same-seed pipeline (build failures leave the current epoch's
     /// pipeline in place instead), and [`degraded`](Self::degraded) carries
     /// the typed reason with staleness counters until a publish succeeds.
-    /// A finalize failure (e.g. a worker panic) destroys the
-    /// epoch's in-memory records; with a journal attached they are
-    /// immediately replayed back into the fresh pipeline (counted in
-    /// [`DegradedState::records_replayable`] — nothing is lost), without
-    /// one they are counted in [`DegradedState::records_lost`] and must be
-    /// re-ingested from an external durable source.
+    /// A finalize failure would count the epoch's records in
+    /// [`DegradedState::records_lost`]; no shipped back-end returns one.
     pub fn publish(&mut self) -> Result<EpochReport> {
         let replacement = match self.builder.clone().build() {
             Ok(replacement) => replacement,
@@ -322,25 +317,15 @@ impl EpochedPipeline {
         let summary = match outgoing.finalize() {
             Ok(summary) => Arc::new(summary),
             Err(error) => {
-                // The epoch's records are gone from memory, but with a
-                // journal they are still on disk tagged `epoch + 1`: replay
-                // them into the fresh pipeline right here. This recovers
-                // even records the dying back-end had already absorbed.
-                if self.journal.is_some() {
-                    match self.self_heal_from_journal() {
-                        Ok(replayed) => self.mark_degraded(error.clone(), 0, replayed),
-                        Err(_) => {
-                            // The journal is now the only copy; make sure
-                            // nothing prunes it before an operator recovers.
-                            if let Some(journal) = self.journal.as_mut() {
-                                journal.suppress_pruning();
-                            }
-                            self.mark_degraded(error.clone(), records, 0);
-                        }
-                    }
-                } else {
-                    self.mark_degraded(error.clone(), records, 0);
+                // No shipped back-end reaches this arm: both samplers
+                // finalize infallibly, and the aggregation drain hands them
+                // cells that were validated and overflow-checked on the way
+                // in. Should one ever fail, the journal is the epoch's only
+                // copy, so nothing may prune it before an operator recovers.
+                if let Some(journal) = self.journal.as_mut() {
+                    journal.suppress_pruning();
                 }
+                self.mark_degraded(error.clone(), records, 0);
                 return Err(error);
             }
         };
@@ -421,26 +406,6 @@ impl EpochedPipeline {
         state.failed_publishes += 1;
         state.records_lost += records_lost;
         state.records_replayable += records_replayable;
-    }
-
-    /// Replays every journaled frame tagged with the **current** window's
-    /// epoch into the (fresh) current pipeline — the in-process half of
-    /// crash recovery, used when a finalize failure destroys the window
-    /// that the journal still holds. Each frame goes through the batch
-    /// call that journaled it (see [`replay_frame`](Self::replay_frame)),
-    /// so the healed window accepts and rejects exactly what the destroyed
-    /// one did. Returns how many records were re-ingested.
-    fn self_heal_from_journal(&mut self) -> Result<u64> {
-        let frames = match self.journal.as_ref() {
-            Some(journal) => journal.read_frames()?,
-            None => return Ok(0),
-        };
-        let window = self.epoch + 1;
-        let mut replayed = 0;
-        for frame in frames.iter().filter(|frame| frame.epoch() == window) {
-            replayed += self.replay_frame(frame).0;
-        }
-        Ok(replayed)
     }
 
     /// Replays the journal tail after a restart: every frame whose epoch
@@ -525,17 +490,12 @@ impl EpochedPipeline {
         (accepted, frame.record_count() as u64 - accepted)
     }
 
-    /// Fault injection into the current epoch's dispersed back-end — see
-    /// [`Pipeline::inject_worker_fault`].
-    ///
-    /// # Errors
-    /// As [`Pipeline::inject_worker_fault`].
-    pub fn inject_worker_fault(
-        &mut self,
-        worker: usize,
-        fault: cws_core::WorkerFault,
-    ) -> Result<()> {
-        self.current.inject_worker_fault(worker, fault)
+    /// The epoch a push journals under, once the armed ingest deadline
+    /// admits it. Checked before the journal write: a push the deadline
+    /// refuses must not come back on replay.
+    fn admit(&self) -> Result<u64> {
+        self.current.check_ingest_deadline()?;
+        Ok(self.epoch + 1)
     }
 
     /// Absorbs one unaggregated element into the current epoch (requires an
@@ -545,9 +505,10 @@ impl EpochedPipeline {
     /// # Errors
     /// As [`Pipeline::push_element`], plus journal append errors (e.g. a
     /// typed `BudgetExceeded` when the WAL byte budget is full — the
-    /// element is then neither journaled nor ingested).
+    /// element is then neither journaled nor ingested). An expired ingest
+    /// deadline is checked first, so a refused push is never journaled.
     pub fn push_element(&mut self, key: Key, assignment: usize, weight: f64) -> Result<()> {
-        let epoch = self.epoch + 1;
+        let epoch = self.admit()?;
         if let Some(journal) = self.journal.as_mut() {
             journal.append_element(epoch, key, assignment, weight)?;
         }
@@ -560,7 +521,7 @@ impl EpochedPipeline {
     /// # Errors
     /// As [`Pipeline::push_elements`], plus journal append errors.
     pub fn push_elements(&mut self, elements: &[(Key, usize, f64)]) -> Result<()> {
-        let epoch = self.epoch + 1;
+        let epoch = self.admit()?;
         if let Some(journal) = self.journal.as_mut() {
             journal.append_elements(epoch, elements)?;
         }
@@ -581,9 +542,10 @@ impl Ingest for EpochedPipeline {
 
     /// Write-ahead ordering: with a journal attached the record hits disk
     /// before the sampler sees it, so anything ingestion absorbed is
-    /// replayable.
+    /// replayable. The ingest deadline is checked before the journal
+    /// write.
     fn push_record(&mut self, key: Key, weights: &[f64]) -> Result<()> {
-        let epoch = self.epoch + 1;
+        let epoch = self.admit()?;
         if let Some(journal) = self.journal.as_mut() {
             journal.append_record(epoch, key, weights)?;
         }
@@ -591,7 +553,7 @@ impl Ingest for EpochedPipeline {
     }
 
     fn push_columns(&mut self, columns: &RecordColumns) -> Result<()> {
-        let epoch = self.epoch + 1;
+        let epoch = self.admit()?;
         if let Some(journal) = self.journal.as_mut() {
             journal.append_columns(epoch, columns)?;
         }
@@ -863,7 +825,7 @@ impl Ingest for WindowedPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{Execution, Layout};
+    use crate::pipeline::Layout;
 
     fn dispersed_builder() -> PipelineBuilder {
         Pipeline::builder().assignments(2).k(64).layout(Layout::Dispersed).seed(9)
@@ -889,9 +851,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_epochs_report_per_epoch_counts() {
-        let mut epochs =
-            EpochedPipeline::new(dispersed_builder().execution(Execution::Sharded(2))).unwrap();
+    fn epochs_report_per_epoch_counts() {
+        let mut epochs = EpochedPipeline::new(dispersed_builder()).unwrap();
         for key in 0..300u64 {
             epochs.push_record(key, &[1.0 + (key % 5) as f64, 2.0]).unwrap();
         }
@@ -949,47 +910,6 @@ mod tests {
         assert!(windows.window(2).is_none());
         let err = windows.drift(0, 2).unwrap_err();
         assert!(matches!(err, CwsError::InvalidParameter { name: "window", .. }));
-    }
-
-    #[test]
-    fn worker_panic_degrades_but_keeps_serving() {
-        use cws_core::WorkerFault;
-        let mut epochs =
-            EpochedPipeline::new(dispersed_builder().execution(Execution::Sharded(2))).unwrap();
-        for key in 0..200u64 {
-            epochs.push_record(key, &[1.0 + (key % 5) as f64, 2.0]).unwrap();
-        }
-        let good = epochs.publish().unwrap();
-        assert!(!epochs.is_degraded());
-        // Kill a worker mid-epoch; ingest a few records (tolerating typed
-        // errors once the death is detected), then publish.
-        for key in 0..50u64 {
-            epochs.push_record(key, &[1.0, 1.0]).unwrap();
-        }
-        epochs.inject_worker_fault(1, WorkerFault::Panic).unwrap();
-        for key in 50..100u64 {
-            let _ = epochs.push_record(key, &[1.0, 1.0]);
-        }
-        let err = epochs.publish().unwrap_err();
-        assert!(matches!(err, CwsError::ShardWorkerPanicked { .. }), "{err:?}");
-        // Degraded-mode serving: latest() still answers with the last good
-        // snapshot, the typed cause and staleness counters are surfaced.
-        assert_eq!(epochs.latest().unwrap(), good.summary);
-        let state = epochs.degraded().unwrap();
-        assert!(matches!(state.reason, CwsError::ShardWorkerPanicked { .. }));
-        assert_eq!(state.failed_publishes, 1);
-        assert!(state.records_lost > 0, "the lost epoch's records are counted");
-        assert_eq!(epochs.epochs_published(), 1, "the failed epoch is not numbered");
-        // Ingestion already resumed into a fresh same-seed pipeline; the
-        // next publish succeeds and clears the degraded state.
-        for key in 0..200u64 {
-            epochs.push_record(key, &[1.0 + (key % 5) as f64, 2.0]).unwrap();
-        }
-        let recovered = epochs.publish().unwrap();
-        assert_eq!(recovered.epoch, 2);
-        assert!(!epochs.is_degraded());
-        // Same seed + same records as epoch 1 ⇒ bit-identical snapshot.
-        assert_eq!(recovered.summary, good.summary);
     }
 
     #[test]
@@ -1074,54 +994,5 @@ mod tests {
             Err(CwsError::UnsupportedEstimator { estimator: "drift", .. })
         ));
         assert!(WindowedPipeline::new(dispersed_builder(), 0).is_err());
-    }
-
-    /// Self-healing replays each journaled batch through the call that
-    /// wrote it: a column batch the sharded back-end rejected whole (one
-    /// NaN) stays rejected whole, so the healed epoch equals an undisturbed
-    /// run of the same pushes — not one that re-ingested the batch's valid
-    /// records one by one.
-    #[test]
-    fn self_heal_replays_a_partly_rejected_batch_exactly() {
-        use cws_core::WorkerFault;
-
-        use crate::wal::{SyncPolicy, WalConfig};
-        let dir = std::env::temp_dir().join(format!("cws-continuous-heal-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let builder = || dispersed_builder().execution(Execution::Sharded(2));
-        let batch = |first: u64, nan_at: Option<u64>| {
-            let mut columns = RecordColumns::with_capacity(2, 300);
-            for key in first..first + 300 {
-                let bad = nan_at == Some(key - first);
-                columns.push(key, &[((key % 13) + 1) as f64, if bad { f64::NAN } else { 2.0 }]);
-            }
-            columns
-        };
-        let pushes = |pipeline: &mut dyn Ingest| {
-            pipeline.push_columns(&batch(0, None)).unwrap();
-            assert!(pipeline.push_columns(&batch(300, Some(120))).is_err());
-            pipeline.push_columns(&batch(600, None)).unwrap();
-        };
-        let mut undisturbed = builder().build().unwrap();
-        pushes(&mut undisturbed);
-        assert_eq!(
-            undisturbed.processed(),
-            600,
-            "the sharded back-end rejects the NaN batch whole"
-        );
-        undisturbed.push_columns(&batch(900, None)).unwrap();
-        let expected = undisturbed.processed();
-
-        let journal = WalConfig::new(&dir).sync(SyncPolicy::OnRotate);
-        let mut epochs = EpochedPipeline::new(builder().journal(journal)).unwrap();
-        pushes(&mut epochs);
-        epochs.inject_worker_fault(1, WorkerFault::Panic).unwrap();
-        assert!(epochs.push_columns(&batch(900, None)).is_err(), "the worker dies");
-        assert!(epochs.publish().is_err());
-        let state = epochs.degraded().unwrap();
-        assert_eq!((state.records_lost, state.records_replayable), (0, expected));
-        assert_eq!(epochs.processed(), expected);
-        assert_eq!(epochs.publish().unwrap().summary.as_ref(), &undisturbed.finalize().unwrap());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -5,17 +5,17 @@
 //! coordinated summary that answers a-posteriori aggregate queries over any
 //! combination of weight assignments. The lower crates realize that promise
 //! with several specialized front-ends — offline builders, per-assignment
-//! stream samplers, the hash-once sampler (sequential or split over worker
-//! threads) — and two estimator types with diverging method sets. This crate folds all
-//! of them behind three small surfaces:
+//! stream samplers, the hash-once sampler — and two estimator types with
+//! diverging method sets. This crate folds all of them behind three small
+//! surfaces:
 //!
 //! * [`Ingest`] — one ingestion trait (`push_record`, `push_batch`,
-//!   `push_columns`, `finalize`) implemented by every
-//!   stream sampler, with default methods bridging the row and column call
-//!   shapes so each back-end accepts all of them bit-exactly.
+//!   `push_columns`, `finalize`) implemented by both pipeline back-ends;
+//!   `push_batch` is its one default method, a row-batch adapter over
+//!   `push_record`. Every call shape gives bit-identical summaries.
 //! * [`Pipeline`] / [`PipelineBuilder`] — one builder that picks the
 //!   back-end from a declarative configuration (`k`, rank family,
-//!   coordination, [`Layout`], [`Execution`], [`Aggregation`]) and, for
+//!   coordination, [`Layout`], [`Aggregation`]) and, for
 //!   unaggregated element streams, inserts a hash-based pre-aggregation
 //!   stage ([`aggregation::KeyAggregator`]) in front of the samplers.
 //! * [`QueryBatch`] / [`Query`] → [`EstimateReport`] — one query
@@ -64,7 +64,7 @@ pub mod wal;
 pub use aggregation::{Aggregation, KeyAggregator, QuarantineDrain};
 pub use continuous::{DegradedState, Drift, EpochReport, EpochedPipeline, WindowedPipeline};
 pub use ingest::Ingest;
-pub use pipeline::{Execution, Layout, Pipeline, PipelineBuilder};
+pub use pipeline::{Layout, Pipeline, PipelineBuilder};
 pub use plan::{AggregateSpec, QueryBatch, QueryPlan, QuerySpec};
 pub use query::{EstimateReport, Query, DEADLINE_CHECK_STRIDE};
 pub use store::{QuarantinedSnapshot, RecoveryReport, ScrubReport, Scrubber, SnapshotStore};
@@ -81,7 +81,7 @@ pub mod prelude {
         DegradedState, Drift, EpochReport, EpochedPipeline, WindowedPipeline,
     };
     pub use crate::ingest::Ingest;
-    pub use crate::pipeline::{Execution, Layout, Pipeline, PipelineBuilder};
+    pub use crate::pipeline::{Layout, Pipeline, PipelineBuilder};
     pub use crate::plan::{AggregateSpec, QueryBatch, QueryPlan, QuerySpec};
     pub use crate::query::{EstimateReport, Query, DEADLINE_CHECK_STRIDE};
     pub use crate::store::{

@@ -6,7 +6,7 @@ use std::time::Duration;
 use cws_core::budget::{Deadline, QuarantinedRecords, ResourceBudget};
 use cws_core::columns::RecordColumns;
 use cws_core::summary::{ColocatedSummary, DispersedSummary, SummaryConfig};
-use cws_core::{CoordinationMode, CwsError, Key, RankFamily, Result, WorkerFault};
+use cws_core::{CoordinationMode, CwsError, Key, RankFamily, Result};
 use cws_stream::{
     merge_disjoint_colocated, merge_disjoint_summaries_ref, ColocatedStreamSampler,
     MultiAssignmentStreamSampler,
@@ -25,21 +25,8 @@ pub enum Layout {
     /// the inclusive estimators, every aggregate including custom functions.
     Colocated,
     /// Dispersed summary (Section 7): one bottom-k sketch per assignment,
-    /// the s-set / l-set estimators, parallel ingestion.
+    /// the s-set / l-set estimators, hash-once ingestion.
     Dispersed,
-}
-
-/// How ingestion executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Execution {
-    /// Single-threaded ingestion on the calling thread.
-    Sequential,
-    /// Column pushes split the assignments over this many scoped worker
-    /// threads (at most one per assignment; record pushes stay on the
-    /// caller). Bit-identical to sequential at any worker count; dispersed
-    /// layout only. See
-    /// [`MultiAssignmentStreamSampler::with_workers`].
-    Sharded(usize),
 }
 
 /// Builder for [`Pipeline`] — the declarative front door of the engine.
@@ -54,7 +41,6 @@ pub enum Execution {
 ///     .rank(RankFamily::Ipps)
 ///     .coordination(CoordinationMode::SharedSeed)
 ///     .layout(Layout::Dispersed)
-///     .execution(Execution::Sharded(2))
 ///     .aggregation(Aggregation::SumByKey)
 ///     .seed(42)
 ///     .build()
@@ -72,7 +58,6 @@ pub struct PipelineBuilder {
     family: RankFamily,
     mode: CoordinationMode,
     layout: Layout,
-    execution: Execution,
     aggregation: Aggregation,
     seed: u64,
     assignments: Option<usize>,
@@ -88,7 +73,6 @@ impl Default for PipelineBuilder {
             family: RankFamily::Ipps,
             mode: CoordinationMode::SharedSeed,
             layout: Layout::Colocated,
-            execution: Execution::Sequential,
             aggregation: Aggregation::PreAggregated,
             seed: 0,
             assignments: None,
@@ -133,13 +117,6 @@ impl PipelineBuilder {
     #[must_use]
     pub fn layout(mut self, layout: Layout) -> Self {
         self.layout = layout;
-        self
-    }
-
-    /// Execution strategy (default [`Execution::Sequential`]).
-    #[must_use]
-    pub fn execution(mut self, execution: Execution) -> Self {
-        self.execution = execution;
         self
     }
 
@@ -217,8 +194,6 @@ impl PipelineBuilder {
     ///   (independent-differences requires EXP ranks);
     /// * the dispersed layout is combined with independent-differences
     ///   ranks (that construction only exists colocated);
-    /// * sharded execution is requested with the colocated layout or with
-    ///   zero workers;
     /// * a byte or key budget is set without an aggregation stage (only
     ///   governed stages track usage; deadlines work on any pipeline);
     /// * a [`journal`](Self::journal) is configured — journaling needs the
@@ -257,19 +232,11 @@ impl PipelineBuilder {
             });
         }
         let config = SummaryConfig::try_new(self.k, self.family, self.mode, self.seed)?;
-        let backend = match (self.layout, self.execution) {
-            (Layout::Colocated, Execution::Sequential) => {
+        let backend = match self.layout {
+            Layout::Colocated => {
                 Backend::Colocated(ColocatedStreamSampler::new(config, assignments))
             }
-            (Layout::Colocated, Execution::Sharded(_)) => {
-                return Err(CwsError::InvalidParameter {
-                    name: "execution",
-                    message: "sharded execution requires the dispersed layout \
-                              (colocated summaries retain cross-assignment state)"
-                        .to_string(),
-                });
-            }
-            (Layout::Dispersed, execution) => {
+            Layout::Dispersed => {
                 if self.mode == CoordinationMode::IndependentDifferences {
                     return Err(CwsError::InvalidParameter {
                         name: "coordination",
@@ -278,20 +245,7 @@ impl PipelineBuilder {
                             .to_string(),
                     });
                 }
-                match execution {
-                    Execution::Sequential => {
-                        Backend::HashOnce(MultiAssignmentStreamSampler::new(config, assignments))
-                    }
-                    Execution::Sharded(0) => {
-                        return Err(CwsError::InvalidParameter {
-                            name: "execution",
-                            message: "at least one worker is required".to_string(),
-                        });
-                    }
-                    Execution::Sharded(workers) => Backend::HashOnce(
-                        MultiAssignmentStreamSampler::with_workers(config, assignments, workers),
-                    ),
-                }
+                Backend::HashOnce(MultiAssignmentStreamSampler::new(config, assignments))
             }
         };
         let aggregator = if self.aggregation.is_aggregating() {
@@ -327,7 +281,7 @@ impl std::fmt::Debug for Backend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Backend::Colocated(_) => f.write_str("Colocated"),
-            Backend::HashOnce(sampler) => write!(f, "HashOnce({} workers)", sampler.workers()),
+            Backend::HashOnce(_) => f.write_str("HashOnce"),
         }
     }
 }
@@ -441,33 +395,12 @@ impl Pipeline {
         }
     }
 
-    /// Instructs one worker of the dispersed back-end to exhibit `fault` on
-    /// the next push — the deterministic fault-injection entry point the
-    /// fault battery uses to exercise degraded-mode serving end to end. See
-    /// [`MultiAssignmentStreamSampler::inject_worker_fault`].
-    ///
-    /// # Errors
-    /// A typed error when the pipeline has the colocated layout, `worker`
-    /// is not below the back-end's worker count, or a worker already died
-    /// (its failure).
-    pub fn inject_worker_fault(&mut self, worker: usize, fault: WorkerFault) -> Result<()> {
-        match &mut self.backend {
-            Backend::HashOnce(sampler) => sampler.inject_worker_fault(worker, fault),
-            Backend::Colocated(_) => Err(CwsError::InvalidParameter {
-                name: "execution",
-                message: "worker-fault injection targets the dispersed back-end's workers; \
-                          this pipeline has the colocated layout"
-                    .to_string(),
-            }),
-        }
-    }
-
     /// Snapshots the pipeline's current state into a [`Summary`] without
     /// consuming it — ingestion can continue afterwards. The snapshot is
     /// exactly what [`finalize`](Ingest::finalize) would return right now.
     ///
     /// # Errors
-    /// As [`finalize`](Ingest::finalize) (a dead worker's failure).
+    /// As [`finalize`](Ingest::finalize).
     pub fn snapshot(&self) -> Result<Summary> {
         let copy = Pipeline {
             backend: self.backend.clone(),
@@ -518,9 +451,11 @@ impl Pipeline {
         self.aggregator.as_ref().map_or(0, KeyAggregator::peak_tracked_bytes)
     }
 
-    /// The armed ingest [`Deadline`] check (a no-op without one).
+    /// The armed ingest [`Deadline`] check (a no-op without one). The
+    /// epoched wrapper runs it before journaling a push, so a push refused
+    /// here never reaches the journal.
     #[inline]
-    fn check_ingest_deadline(&self) -> Result<()> {
+    pub(crate) fn check_ingest_deadline(&self) -> Result<()> {
         match &self.deadline {
             Some(deadline) => deadline.check("ingest"),
             None => Ok(()),
@@ -650,14 +585,6 @@ mod tests {
                 .build(),
             Err(CwsError::InvalidParameter { name: "coordination", .. })
         ));
-        assert!(matches!(
-            base().execution(Execution::Sharded(2)).build(),
-            Err(CwsError::InvalidParameter { name: "execution", .. })
-        ));
-        assert!(matches!(
-            base().layout(Layout::Dispersed).execution(Execution::Sharded(0)).build(),
-            Err(CwsError::InvalidParameter { name: "execution", .. })
-        ));
         // A journal on a one-shot pipeline is dead configuration: there is
         // no epoch barrier to ever cover (and so prune) what it writes.
         assert!(matches!(
@@ -668,10 +595,9 @@ mod tests {
             base().budget(ResourceBudget::unlimited().with_max_keys(10)).build(),
             Err(CwsError::InvalidParameter { name: "budget", .. })
         ));
-        // Sharded pipelines accept a governed aggregation stage.
+        // Dispersed pipelines accept a governed aggregation stage.
         base()
             .layout(Layout::Dispersed)
-            .execution(Execution::Sharded(2))
             .aggregation(Aggregation::SumByKey)
             .budget(ResourceBudget::unlimited().with_max_keys(10))
             .build()
@@ -680,17 +606,16 @@ mod tests {
         base().deadline(Duration::from_secs(3600)).build().unwrap();
     }
 
-    /// A sharded pipeline snapshots in place like any other: the snapshot
-    /// equals what finalize returns, and ingestion continues afterwards.
+    /// A dispersed pipeline snapshots in place: the snapshot equals what
+    /// finalize returns, and ingestion continues afterwards.
     #[test]
-    fn sharded_snapshot_equals_finalize() {
+    fn dispersed_snapshot_equals_finalize() {
         use crate::ingest::Ingest;
         for aggregation in [Aggregation::PreAggregated, Aggregation::SumByKey] {
             let mut pipeline = Pipeline::builder()
                 .assignments(5)
                 .k(8)
                 .layout(Layout::Dispersed)
-                .execution(Execution::Sharded(3))
                 .aggregation(aggregation)
                 .seed(17)
                 .build()
@@ -789,24 +714,13 @@ mod tests {
             for aggregation in
                 [Aggregation::PreAggregated, Aggregation::SumByKey, Aggregation::MaxByKey]
             {
-                let mut executions = vec![Execution::Sequential];
-                if layout == Layout::Dispersed {
-                    executions.push(Execution::Sharded(2));
-                }
-                for execution in executions {
-                    let mut pipeline = base()
-                        .layout(layout)
-                        .execution(execution)
-                        .aggregation(aggregation)
-                        .build()
-                        .unwrap();
-                    pipeline.push_record(1, &[1.0, 2.0]).unwrap();
-                    let summary = pipeline.finalize().unwrap();
-                    assert_eq!(summary.num_assignments(), 2);
-                    match layout {
-                        Layout::Colocated => assert!(summary.as_colocated().is_some()),
-                        Layout::Dispersed => assert!(summary.as_dispersed().is_some()),
-                    }
+                let mut pipeline = base().layout(layout).aggregation(aggregation).build().unwrap();
+                pipeline.push_record(1, &[1.0, 2.0]).unwrap();
+                let summary = pipeline.finalize().unwrap();
+                assert_eq!(summary.num_assignments(), 2);
+                match layout {
+                    Layout::Colocated => assert!(summary.as_colocated().is_some()),
+                    Layout::Dispersed => assert!(summary.as_dispersed().is_some()),
                 }
             }
         }

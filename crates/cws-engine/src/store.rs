@@ -51,7 +51,7 @@
 //! memory, so serving continues undisturbed while a scrub runs.
 
 use std::fs;
-use std::io::Write as _;
+use std::io::{BufReader, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -78,6 +78,15 @@ fn quarantine_path(path: &Path) -> PathBuf {
     let mut quarantined = path.as_os_str().to_os_string();
     quarantined.push(QUARANTINE_SUFFIX);
     PathBuf::from(quarantined)
+}
+
+/// Decodes the snapshot at `path`, verifying its checksums. The codec
+/// reads field by field, so the file is buffered: unbuffered, every 8-byte
+/// field costs a `read` call. Bytes after the summary are not inspected,
+/// as with any `Summary::read_from` stream.
+fn read_snapshot(path: &Path) -> Result<Summary> {
+    let file = fs::File::open(path).map_err(|e| store_error("open", path, &e))?;
+    Summary::read_from(&mut BufReader::new(file))
 }
 
 /// A quarantined file found during [`SnapshotStore::recover`].
@@ -200,9 +209,7 @@ impl SnapshotStore {
     /// [`CwsError::Store`] when the file cannot be opened/read,
     /// [`CwsError::Codec`] when it does not decode cleanly.
     pub fn load(&self, epoch: u64) -> Result<Summary> {
-        let path = self.epoch_path(epoch);
-        let mut file = fs::File::open(&path).map_err(|e| store_error("open", &path, &e))?;
-        Summary::read_from(&mut file)
+        read_snapshot(&self.epoch_path(epoch))
     }
 
     /// Epoch numbers of the committed snapshots currently on disk,
@@ -234,7 +241,7 @@ impl SnapshotStore {
     /// reported in [`RecoveryReport::quarantined`].
     pub fn recover(&mut self) -> Result<RecoveryReport> {
         let mut report = RecoveryReport::default();
-        let mut good: Vec<(u64, PathBuf)> = Vec::new();
+        let mut newest: Option<(u64, Summary)> = None;
         for name in self.scan()? {
             let path = self.dir.join(&name);
             if name.ends_with(TEMP_SUFFIX) {
@@ -243,11 +250,12 @@ impl SnapshotStore {
                 continue;
             }
             let Some(epoch) = Self::parse_epoch(&name) else { continue };
-            match fs::File::open(&path)
-                .map_err(|e| store_error("open", &path, &e))
-                .and_then(|mut file| Summary::read_from(&mut file))
-            {
-                Ok(_) => good.push((epoch, path)),
+            match read_snapshot(&path) {
+                Ok(summary) => {
+                    if newest.as_ref().is_none_or(|(best, _)| epoch > *best) {
+                        newest = Some((epoch, summary));
+                    }
+                }
                 Err(error) => {
                     let quarantined = quarantine_path(&path);
                     fs::rename(&path, &quarantined)
@@ -261,14 +269,7 @@ impl SnapshotStore {
             }
         }
         report.pruned_quarantined = self.prune_quarantined_to(self.retention)?;
-        good.sort_unstable_by_key(|(epoch, _)| *epoch);
-        if let Some((epoch, path)) = good.last() {
-            // Re-read the winner (files are small relative to the cost of
-            // keeping every candidate decoded in memory).
-            let mut file = fs::File::open(path).map_err(|e| store_error("open", path, &e))?;
-            let summary = Summary::read_from(&mut file)?;
-            report.last_good = Some((*epoch, Arc::new(summary)));
-        }
+        report.last_good = newest.map(|(epoch, summary)| (epoch, Arc::new(summary)));
         self.sync_dir()?;
         self.write_manifest()?;
         Ok(report)
@@ -460,10 +461,7 @@ impl Scrubber {
         let mut report = ScrubReport::default();
         for epoch in store.epochs()? {
             let path = store.epoch_path(epoch);
-            match fs::File::open(&path)
-                .map_err(|e| store_error("open", &path, &e))
-                .and_then(|mut file| Summary::read_from(&mut file))
-            {
+            match read_snapshot(&path) {
                 Ok(_) => report.verified.push(epoch),
                 Err(error) => {
                     let quarantined = quarantine_path(&path);

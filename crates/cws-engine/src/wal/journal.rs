@@ -320,17 +320,17 @@ impl Journal {
         self.sync
     }
 
-    /// `true` once pruning has been suspended to preserve unpublished data
-    /// (after a failed self-heal); cleared only by reopening the journal
-    /// through recovery.
+    /// `true` once pruning has been suspended to preserve data no durable
+    /// snapshot holds (after a failed publish); cleared only by reopening
+    /// the journal through recovery.
     #[must_use]
     pub fn pruning_suppressed(&self) -> bool {
         self.suppress_prune
     }
 
     /// Stops [`mark_covered`](Self::mark_covered) from deleting anything —
-    /// the last-resort switch when in-memory state could not be healed and
-    /// the journal is the only copy of the data.
+    /// the switch for when the journal is the only durable copy of the
+    /// data.
     pub(crate) fn suppress_pruning(&mut self) {
         self.suppress_prune = true;
     }

@@ -15,8 +15,7 @@
 //! * [`MultiAssignmentStreamSampler`] — the hash-once hot path: one pass over
 //!   `(key, weight-vector)` records that hashes each key once and fans the
 //!   rank computation out across all assignments, producing a dispersed
-//!   summary bit-identical to per-assignment processing. With several
-//!   workers, column pushes split the assignments over scoped threads.
+//!   summary bit-identical to per-assignment processing.
 //! * [`ColocatedStreamSampler`] — a single pass over `(key, weight-vector)`
 //!   records that embeds one bottom-k sample per assignment and retains the
 //!   full weight vector of every candidate key.

@@ -16,35 +16,10 @@
 //! dispersed pass. The finalized [`DispersedSummary`] is therefore
 //! **bit-identical** to the one produced by `DispersedStreamSampler` (and by
 //! the offline builder) over the same data.
-//!
-//! # Parallel ingestion
-//!
-//! Assignments never interact: each candidate set sees only its own weight
-//! lane, and shared-seed coordination holds however the sets are computed
-//! (Cohen–Kaplan 2012). A sampler built
-//! [`with_workers`](MultiAssignmentStreamSampler::with_workers) therefore
-//! parallelizes a column push by *splitting the assignments*, not the keys:
-//! the batch is validated once on the caller, then `std::thread::scope`
-//! hands each of `min(workers, assignments)` scoped workers a contiguous
-//! group of candidate sets, and every worker runs the same chunk kernel
-//! (hash, then pre-filter scan) over its own lanes. Every candidate set sees
-//! the same offers in the same order as in a sequential run, so the summary
-//! is bit-identical by construction and finalize needs no merge. Record
-//! pushes always run inline on the caller.
-//!
-//! A worker panic is caught at join and becomes
-//! [`CwsError::ShardWorkerPanicked`] naming the worker. The failure is
-//! sticky: every later push and [`finalize`](MultiAssignmentStreamSampler::finalize)
-//! return it, and the recovery route is re-ingesting into a fresh same-seed
-//! sampler. [`inject_worker_fault`](MultiAssignmentStreamSampler::inject_worker_fault)
-//! makes one worker panic on the next push, which is how the fault battery
-//! exercises this path.
-
-use std::thread;
 
 use cws_core::columns::{first_invalid_weight, invalid_weight_error, RecordColumns};
 use cws_core::summary::{DispersedSummary, SummaryConfig};
-use cws_core::{CoordinationMode, CwsError, Key, RankGenerator, Result, WorkerFault};
+use cws_core::{CoordinationMode, Key, RankGenerator, Result};
 
 use crate::bottomk::COLUMN_CHUNK;
 use crate::candidate::CandidateSet;
@@ -64,18 +39,10 @@ pub struct MultiAssignmentStreamSampler {
     /// Reusable rank buffer: the per-record fan-out allocates nothing.
     ranks: Vec<f64>,
     processed: u64,
-    /// Scoped workers a column push splits the assignments over; 1 keeps
-    /// every push inline on the caller.
-    workers: usize,
-    /// A fault armed for the next push: the worker that exhibits it.
-    armed_fault: Option<(usize, WorkerFault)>,
-    /// The first worker failure, returned by every later push and finalize.
-    failure: Option<CwsError>,
 }
 
 impl MultiAssignmentStreamSampler {
-    /// Creates a sampler for `num_assignments` assignments that ingests on
-    /// the calling thread.
+    /// Creates a sampler for `num_assignments` assignments.
     ///
     /// # Panics
     /// Panics if `num_assignments == 0` or the configuration uses
@@ -83,19 +50,7 @@ impl MultiAssignmentStreamSampler {
     /// the dispersed format, which that construction cannot realize).
     #[must_use]
     pub fn new(config: SummaryConfig, num_assignments: usize) -> Self {
-        Self::with_workers(config, num_assignments, 1)
-    }
-
-    /// Creates a sampler whose column pushes split the assignments over
-    /// `min(workers, num_assignments)` scoped worker threads (see the
-    /// module docs). The summary is bit-identical at any worker count.
-    ///
-    /// # Panics
-    /// As [`MultiAssignmentStreamSampler::new`], and if `workers == 0`.
-    #[must_use]
-    pub fn with_workers(config: SummaryConfig, num_assignments: usize, workers: usize) -> Self {
         assert!(num_assignments > 0, "at least one assignment is required");
-        assert!(workers > 0, "at least one worker is required");
         assert!(
             config.mode != CoordinationMode::IndependentDifferences,
             "independent-differences ranks are not suited for dispersed weights"
@@ -108,9 +63,6 @@ impl MultiAssignmentStreamSampler {
             candidates,
             ranks: Vec::with_capacity(num_assignments),
             processed: 0,
-            workers: workers.min(num_assignments),
-            armed_fault: None,
-            failure: None,
         }
     }
 
@@ -118,12 +70,6 @@ impl MultiAssignmentStreamSampler {
     #[must_use]
     pub fn num_assignments(&self) -> usize {
         self.num_assignments
-    }
-
-    /// Number of worker threads a column push uses (1 = inline).
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Number of records pushed so far.
@@ -145,17 +91,13 @@ impl MultiAssignmentStreamSampler {
     ///
     /// # Errors
     /// Returns an error if any weight is NaN, infinite or negative; the
-    /// record is rejected whole (no assignment sees any part of it). After
-    /// a worker failure, returns that failure.
+    /// record is rejected whole (no assignment sees any part of it).
     ///
     /// # Panics
     /// Panics if the vector length differs from the number of assignments.
     #[inline]
     pub fn push_record(&mut self, key: Key, weights: &[f64]) -> Result<()> {
         assert_eq!(weights.len(), self.num_assignments, "weight vector arity mismatch");
-        if self.armed_fault.is_some() || self.failure.is_some() {
-            return self.push_record_split(key, weights);
-        }
         if let Some(assignment) = first_invalid_weight(weights) {
             return Err(invalid_weight_error(key, assignment, weights[assignment]));
         }
@@ -184,15 +126,6 @@ impl MultiAssignmentStreamSampler {
         Ok(())
     }
 
-    /// A record push while a fault is armed or a worker has failed: the
-    /// record goes through the worker split, so the armed worker fires.
-    #[cold]
-    fn push_record_split(&mut self, key: Key, weights: &[f64]) -> Result<()> {
-        let mut record = RecordColumns::with_capacity(self.num_assignments, 1);
-        record.push(key, weights);
-        self.push_columns_split(&record)
-    }
-
     /// Processes a structure-of-arrays batch — the ingestion fast path.
     ///
     /// Bit-identical to feeding each record through
@@ -209,137 +142,26 @@ impl MultiAssignmentStreamSampler {
     /// 3. per assignment, run the candidate set's pre-filter scan over the
     ///    contiguous weight lane with the threshold held in a register.
     ///
-    /// With more than one [worker](Self::with_workers) the whole batch is
-    /// validated first, then the workers run steps 2–3 over their own
-    /// groups of assignments in parallel.
-    ///
     /// # Errors
     /// Returns an error on a NaN, infinite or negative weight. Chunks are
     /// validated before any of their records are offered, so on error the
     /// sampler holds a correct sample of all preceding chunks and nothing
-    /// of the failing one (with several workers: nothing of the batch);
-    /// treat the stream as poisoned and re-run it after repair. Returns
-    /// [`CwsError::ShardWorkerPanicked`] if a worker panicked, on this push
-    /// or an earlier one.
+    /// of the failing one; treat the stream as poisoned and re-run it after
+    /// repair.
     ///
     /// # Panics
     /// Panics if the batch's assignment count differs from the sampler's.
     pub fn push_columns(&mut self, columns: &RecordColumns) -> Result<()> {
-        if self.workers > 1 || self.armed_fault.is_some() || self.failure.is_some() {
-            return self.push_columns_split(columns);
-        }
         assert_eq!(columns.num_assignments(), self.num_assignments, "weight vector arity mismatch");
         let mut scratch = ChunkScratch::new();
         let mut start = 0;
         while start < columns.len() {
             let len = COLUMN_CHUNK.min(columns.len() - start);
             columns.validate_span(start, len)?;
-            offer_chunk(
-                &self.generator,
-                columns,
-                start,
-                len,
-                0,
-                &mut self.candidates,
-                &mut scratch,
-            );
+            offer_chunk(&self.generator, columns, start, len, &mut self.candidates, &mut scratch);
             self.processed += len as u64;
             start += len;
         }
-        Ok(())
-    }
-
-    /// The parallel column push: validate the whole batch on the caller,
-    /// then run the chunk kernel over contiguous groups of candidate sets on
-    /// scoped workers. A worker panic is caught at join and recorded as the
-    /// sampler's sticky failure.
-    fn push_columns_split(&mut self, columns: &RecordColumns) -> Result<()> {
-        if let Some(failure) = &self.failure {
-            return Err(failure.clone());
-        }
-        assert_eq!(columns.num_assignments(), self.num_assignments, "weight vector arity mismatch");
-        columns.validate()?;
-        let fault = self.armed_fault.take();
-        let generator = &self.generator;
-        let (per_worker, extra) =
-            (self.num_assignments / self.workers, self.num_assignments % self.workers);
-        let failure = thread::scope(|scope| {
-            let mut rest = self.candidates.as_mut_slice();
-            let mut first = 0;
-            let mut handles = Vec::with_capacity(self.workers);
-            for worker in 0..self.workers {
-                let (sets, tail) = rest.split_at_mut(per_worker + usize::from(worker < extra));
-                rest = tail;
-                let group_first = first;
-                first += sets.len();
-                handles.push(scope.spawn(move || {
-                    if fault == Some((worker, WorkerFault::Panic)) {
-                        panic!("injected worker fault (worker {worker})");
-                    }
-                    let mut scratch = ChunkScratch::new();
-                    let mut start = 0;
-                    while start < columns.len() {
-                        let len = COLUMN_CHUNK.min(columns.len() - start);
-                        offer_chunk(
-                            generator,
-                            columns,
-                            start,
-                            len,
-                            group_first,
-                            sets,
-                            &mut scratch,
-                        );
-                        start += len;
-                    }
-                }));
-            }
-            // Join every worker (an unjoined panicked worker would re-panic
-            // the scope); the first panic becomes the typed failure.
-            let mut failure = None;
-            for (worker, handle) in handles.into_iter().enumerate() {
-                if let Err(payload) = handle.join() {
-                    let message = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
-                    failure.get_or_insert(CwsError::ShardWorkerPanicked { shard: worker, message });
-                }
-            }
-            failure
-        });
-        if let Some(error) = failure {
-            self.failure = Some(error.clone());
-            return Err(error);
-        }
-        self.processed += columns.len() as u64;
-        Ok(())
-    }
-
-    /// Arms `fault` in worker `worker`: it fires on the next push of either
-    /// shape (a record push then runs through the worker split), and the
-    /// panic surfaces as [`CwsError::ShardWorkerPanicked`] from that push,
-    /// every later one and finalize. The deterministic entry point the
-    /// fault battery uses.
-    ///
-    /// # Errors
-    /// [`CwsError::InvalidParameter`] if `worker` is not below
-    /// [`workers`](Self::workers); the sticky failure if a worker already
-    /// died.
-    pub fn inject_worker_fault(&mut self, worker: usize, fault: WorkerFault) -> Result<()> {
-        if worker >= self.workers {
-            return Err(CwsError::InvalidParameter {
-                name: "worker",
-                message: format!(
-                    "worker {worker} does not exist: this sampler runs {} worker(s)",
-                    self.workers
-                ),
-            });
-        }
-        if let Some(failure) = &self.failure {
-            return Err(failure.clone());
-        }
-        self.armed_fault = Some((worker, fault));
         Ok(())
     }
 
@@ -352,30 +174,22 @@ impl MultiAssignmentStreamSampler {
     /// Finalizes the pass into a dispersed summary, bit-identical to the one
     /// the per-assignment [`DispersedStreamSampler`](crate::DispersedStreamSampler)
     /// and the offline [`DispersedSummary::build`] produce.
-    ///
-    /// # Errors
-    /// [`CwsError::ShardWorkerPanicked`] if a worker panicked during the
-    /// pass (the partial sample is unusable).
-    pub fn finalize(self) -> Result<DispersedSummary> {
-        if let Some(failure) = self.failure {
-            return Err(failure);
-        }
+    #[must_use]
+    pub fn finalize(self) -> DispersedSummary {
         let sketches = self.candidates.into_iter().map(CandidateSet::into_sketch).collect();
-        Ok(DispersedSummary::from_sketches(self.config, sketches))
+        DispersedSummary::from_sketches(self.config, sketches)
     }
 
     /// Snapshots the current state into a summary **without** consuming the
     /// sampler: ingestion can continue afterwards. The snapshot is exactly
     /// what [`finalize`](Self::finalize) would return right now.
-    ///
-    /// # Errors
-    /// As [`MultiAssignmentStreamSampler::finalize`].
-    pub fn snapshot(&self) -> Result<DispersedSummary> {
+    #[must_use]
+    pub fn snapshot(&self) -> DispersedSummary {
         self.clone().finalize()
     }
 }
 
-/// Per-thread scratch lanes of the chunk kernel.
+/// Scratch lanes of the chunk kernel.
 struct ChunkScratch {
     bases: [f64; COLUMN_CHUNK],
     pair_bases: Vec<u64>,
@@ -388,17 +202,16 @@ impl ChunkScratch {
 }
 
 /// The chunk kernel: offers records `start..start + len` of `columns` to
-/// `sets`, the candidate sets of assignments `first..first + sets.len()`.
-/// The chunk's keys are hashed once into a rank-numerator lane (shared-seed
-/// mode) or pair bases each assignment finishes itself (independent mode);
-/// each set then runs its pre-filter scan over its contiguous weight lane.
+/// `sets`, one candidate set per assignment. The chunk's keys are hashed
+/// once into a rank-numerator lane (shared-seed mode) or pair bases each
+/// assignment finishes itself (independent mode); each set then runs its
+/// pre-filter scan over its contiguous weight lane.
 #[inline]
 fn offer_chunk(
     generator: &RankGenerator,
     columns: &RecordColumns,
     start: usize,
     len: usize,
-    first: usize,
     sets: &mut [CandidateSet],
     scratch: &mut ChunkScratch,
 ) {
@@ -406,8 +219,8 @@ fn offer_chunk(
     let bases = &mut scratch.bases[..len];
     if generator.mode() == CoordinationMode::SharedSeed {
         generator.shared_rank_bases_into(chunk_keys, bases);
-        for (offset, set) in sets.iter_mut().enumerate() {
-            let lane = &columns.lane(first + offset)[start..start + len];
+        for (assignment, set) in sets.iter_mut().enumerate() {
+            let lane = &columns.lane(assignment)[start..start + len];
             set.push_batch_prefiltered(chunk_keys, bases, lane);
         }
     } else {
@@ -416,9 +229,9 @@ fn offer_chunk(
             "constructor rejects independent-differences"
         );
         generator.seed_sequence().pair_bases_into(chunk_keys, &mut scratch.pair_bases);
-        for (offset, set) in sets.iter_mut().enumerate() {
-            generator.assignment_rank_bases_into(&scratch.pair_bases, first + offset, bases);
-            let lane = &columns.lane(first + offset)[start..start + len];
+        for (assignment, set) in sets.iter_mut().enumerate() {
+            generator.assignment_rank_bases_into(&scratch.pair_bases, assignment, bases);
+            let lane = &columns.lane(assignment)[start..start + len];
             set.push_batch_prefiltered(chunk_keys, bases, lane);
         }
     }
@@ -457,7 +270,7 @@ mod tests {
                     }
                 }
                 assert_eq!(once.processed(), 900);
-                let a = once.finalize().unwrap();
+                let a = once.finalize();
                 let b = per.finalize();
                 assert_eq!(a, b, "{family:?} {mode:?}");
                 for (sa, sb) in a.sketches().iter().zip(b.sketches()) {
@@ -475,7 +288,7 @@ mod tests {
         for (key, weights) in data.iter() {
             sampler.push_record(key, weights).unwrap();
         }
-        assert_eq!(sampler.finalize().unwrap(), DispersedSummary::build(&data, &config));
+        assert_eq!(sampler.finalize(), DispersedSummary::build(&data, &config));
     }
 
     #[test]
@@ -491,11 +304,7 @@ mod tests {
                 let mut columnar = MultiAssignmentStreamSampler::new(config, 4);
                 columnar.push_columns(&data.to_columns()).unwrap();
                 assert_eq!(columnar.processed(), 900);
-                assert_eq!(
-                    scalar.finalize().unwrap(),
-                    columnar.finalize().unwrap(),
-                    "{family:?} {mode:?}"
-                );
+                assert_eq!(scalar.finalize(), columnar.finalize(), "{family:?} {mode:?}");
             }
         }
     }
@@ -517,105 +326,6 @@ mod tests {
             assert!(err.to_string().contains("key 3"), "{err}");
             assert_eq!(sampler.processed(), 0, "failing chunk is rejected whole");
         }
-    }
-
-    /// The worker split over an assignment count no worker count divides:
-    /// every candidate set sees the same offers in the same order, so the
-    /// summary matches sequential ingestion to the bit.
-    #[test]
-    fn worker_split_is_bit_identical_to_sequential() {
-        let data = fixture(7);
-        let columns = data.to_columns();
-        for mode in [CoordinationMode::SharedSeed, CoordinationMode::Independent] {
-            for family in [RankFamily::Ipps, RankFamily::Exp] {
-                let config = SummaryConfig::new(16, family, mode, 99);
-                let mut sequential = MultiAssignmentStreamSampler::new(config, 7);
-                for (key, weights) in data.iter() {
-                    sequential.push_record(key, weights).unwrap();
-                }
-                let expected = sequential.finalize().unwrap();
-                for workers in [1, 2, 3, 8] {
-                    let mut split = MultiAssignmentStreamSampler::with_workers(config, 7, workers);
-                    for chunk in columns.split(333) {
-                        split.push_columns(&chunk).unwrap();
-                    }
-                    assert_eq!(split.processed(), 900);
-                    let summary = split.finalize().unwrap();
-                    assert_eq!(summary, expected, "{family:?} {mode:?} workers={workers}");
-                    for (sa, sb) in summary.sketches().iter().zip(expected.sketches()) {
-                        assert_eq!(sa.next_rank().to_bits(), sb.next_rank().to_bits());
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn more_workers_than_assignments_uses_one_per_assignment() {
-        let config = SummaryConfig::new(8, RankFamily::Ipps, CoordinationMode::SharedSeed, 1);
-        assert_eq!(MultiAssignmentStreamSampler::with_workers(config, 3, 8).workers(), 3);
-        assert_eq!(MultiAssignmentStreamSampler::with_workers(config, 7, 2).workers(), 2);
-        assert_eq!(MultiAssignmentStreamSampler::new(config, 7).workers(), 1);
-    }
-
-    /// The split validates the whole batch before any worker starts: an
-    /// invalid weight in the last lane leaves the sampler exactly as it was.
-    #[test]
-    fn invalid_last_lane_rejects_the_split_batch_whole() {
-        let data = fixture(7);
-        let config = SummaryConfig::new(16, RankFamily::Ipps, CoordinationMode::SharedSeed, 5);
-        let mut clean = MultiAssignmentStreamSampler::with_workers(config, 7, 3);
-        let mut poisoned = MultiAssignmentStreamSampler::with_workers(config, 7, 3);
-        let columns = data.to_columns();
-        clean.push_columns(&columns).unwrap();
-        poisoned.push_columns(&columns).unwrap();
-
-        let mut bad = cws_core::RecordColumns::new(7);
-        bad.push(5_000, &[1.0; 7]);
-        bad.push(5_001, &[1.0, 1.0, 1.0, 1.0, 1.0, 1.0, f64::NAN]);
-        let err = poisoned.push_columns(&bad).unwrap_err();
-        assert!(matches!(err, CwsError::InvalidParameter { name: "weight", .. }), "{err:?}");
-        assert!(err.to_string().contains("assignment 6"), "{err}");
-        assert_eq!(poisoned.processed(), 900, "a rejected batch must not count");
-        assert_eq!(poisoned.finalize().unwrap(), clean.finalize().unwrap());
-    }
-
-    #[test]
-    fn injected_worker_panic_is_typed_and_sticky() {
-        let data = fixture(4);
-        let config = SummaryConfig::new(8, RankFamily::Ipps, CoordinationMode::SharedSeed, 3);
-        let mut sampler = MultiAssignmentStreamSampler::with_workers(config, 4, 2);
-        let err = sampler.inject_worker_fault(2, WorkerFault::Panic).unwrap_err();
-        assert!(matches!(err, CwsError::InvalidParameter { name: "worker", .. }), "{err:?}");
-
-        // A record push fires the armed fault too.
-        sampler.inject_worker_fault(1, WorkerFault::Panic).unwrap();
-        let err = sampler.push_record(1, &[1.0; 4]).unwrap_err();
-        match &err {
-            CwsError::ShardWorkerPanicked { shard: 1, message } => {
-                assert!(message.contains("injected"), "{message}");
-            }
-            other => panic!("expected a worker panic, got {other:?}"),
-        }
-        assert_eq!(sampler.processed(), 0);
-        assert_eq!(sampler.push_columns(&data.to_columns()).unwrap_err(), err);
-        assert_eq!(sampler.push_record(2, &[1.0; 4]).unwrap_err(), err);
-        assert_eq!(sampler.inject_worker_fault(0, WorkerFault::Panic).unwrap_err(), err);
-        assert_eq!(sampler.snapshot().unwrap_err(), err);
-        assert_eq!(sampler.finalize().unwrap_err(), err);
-
-        // One worker still spawns when a fault is armed.
-        let mut single = MultiAssignmentStreamSampler::new(config, 4);
-        single.inject_worker_fault(0, WorkerFault::Panic).unwrap();
-        let err = single.push_columns(&data.to_columns()).unwrap_err();
-        assert!(matches!(err, CwsError::ShardWorkerPanicked { shard: 0, .. }), "{err:?}");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_workers_rejected() {
-        let config = SummaryConfig::new(5, RankFamily::Ipps, CoordinationMode::SharedSeed, 1);
-        let _ = MultiAssignmentStreamSampler::with_workers(config, 2, 0);
     }
 
     #[test]

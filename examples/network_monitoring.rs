@@ -4,7 +4,7 @@
 //! hour's collector samples its own flow records and only shares a hash seed
 //! with the other hours. Flows arrive *unaggregated* (a flow's bytes come
 //! packet batch by packet batch), so the pipeline runs a `SumByKey`
-//! aggregation stage in front of the sharded sampler. Later, an operator
+//! aggregation stage in front of the hash-once sampler. Later, an operator
 //! asks change-detection questions such as "how much did the traffic of
 //! destinations in this suspicious subnet change between hour 1 and
 //! hour 4?", which the coordinated samples answer without ever collating
@@ -40,7 +40,7 @@ fn main() {
         packets.len()
     );
 
-    // One pipeline: SumByKey aggregation → sharded hash-once sampling →
+    // One pipeline: SumByKey aggregation → hash-once sampling →
     // one coordinated bottom-k sketch per hour (k = 512).
     let mut pipeline = Pipeline::builder()
         .assignments(data.num_assignments())
@@ -48,7 +48,6 @@ fn main() {
         .rank(RankFamily::Ipps)
         .coordination(CoordinationMode::SharedSeed)
         .layout(Layout::Dispersed)
-        .execution(Execution::Sharded(2))
         .aggregation(Aggregation::SumByKey)
         .seed(0xC0FE)
         .build()
@@ -58,7 +57,7 @@ fn main() {
     for batch in packets.chunks(4096) {
         pipeline.push_elements(batch).expect("valid observations");
     }
-    let summary = pipeline.finalize().expect("workers joined cleanly");
+    let summary = pipeline.finalize().expect("the aggregation drain holds validated weights");
     println!(
         "combined summary holds {} distinct destinations ({} per hour embedded)",
         summary.num_distinct_keys(),

@@ -5,21 +5,18 @@
 //!
 //! * a crash during a snapshot write **at every byte offset** leaves the
 //!   store recoverable to the last good epoch bit-exactly;
-//! * a worker panic mid-epoch degrades serving loudly (typed cause, last
-//!   good snapshot still served) and recovery is bit-exact;
 //! * the codec round-trips bit-exactly through hostile I/O (1-byte-at-a-
 //!   time, `ErrorKind::Interrupted` noise);
 //! * `.quarantined` forensics files stay bounded by the store's retention
 //!   under sustained rot;
-//! * a multi-seed stress run (`CWS_FAULT_SEEDS=1,2,3 …`) injects
-//!   plan-scheduled worker panics and proves re-ingesting into a fresh
-//!   same-seed sampler always converges to the undisturbed summary — then
-//!   rots one plan-chosen byte at rest and proves the scrubber catches it.
+//! * re-ingesting chunked column batches into a fresh same-seed sampler
+//!   converges to the undisturbed summary, and a multi-seed stress run
+//!   (`CWS_FAULT_SEEDS=1,2,3 …`) rots one plan-chosen byte of it at rest
+//!   and proves the scrubber catches it.
 
 use std::io::ErrorKind;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use coordinated_sampling::core::fault::{
     FailingWriter, InterruptingReader, InterruptingWriter, ShortReader, ShortWriter,
@@ -96,77 +93,6 @@ fn crash_at_every_byte_offset_recovers_to_last_good_epoch() {
         assert!(!torn_temp.exists());
         assert!(!torn_final.exists(), "the torn file must be quarantined away");
     }
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// Worker panic mid-epoch, end to end: the failed publish leaves `latest()`
-/// serving the previous snapshot with `degraded()` reporting the typed
-/// cause; the store keeps only good epochs; re-ingesting the epoch restores
-/// bit-exact service.
-#[test]
-fn worker_panic_mid_epoch_keeps_serving_and_recovers_bit_exactly() {
-    let dir = scratch_dir("panic");
-    let mut store = SnapshotStore::open(&dir, 8).unwrap();
-    let mut epochs =
-        EpochedPipeline::new(small_builder().execution(Execution::Sharded(3))).unwrap();
-
-    let ingest_epoch = |epochs: &mut EpochedPipeline, lenient: bool| {
-        for key in 0..300u64 {
-            let weights = [((key % 11) + 1) as f64, ((key % 5) + 1) as f64];
-            match epochs.push_record(key, &weights) {
-                Ok(()) => {}
-                Err(error) if lenient => {
-                    assert!(
-                        matches!(error, CwsError::ShardWorkerPanicked { .. }),
-                        "unexpected push error {error:?}"
-                    );
-                }
-                Err(error) => panic!("healthy ingest failed: {error:?}"),
-            }
-        }
-    };
-
-    ingest_epoch(&mut epochs, false);
-    let good = epochs.publish_into(&mut store).unwrap();
-    assert_eq!(good.epoch, 1);
-
-    // Epoch 2: a worker dies mid-epoch.
-    for key in 0..80u64 {
-        epochs.push_record(key, &[1.0, 1.0]).unwrap();
-    }
-    epochs.inject_worker_fault(1, WorkerFault::Panic).unwrap();
-    ingest_epoch(&mut epochs, true);
-    let err = epochs.publish_into(&mut store).unwrap_err();
-    assert!(matches!(err, CwsError::ShardWorkerPanicked { .. }), "{err:?}");
-
-    // Degraded-mode serving: the last good snapshot still answers.
-    assert_eq!(epochs.latest().unwrap(), good.summary);
-    let state = epochs.degraded().expect("the failed publish must be surfaced");
-    assert!(matches!(state.reason, CwsError::ShardWorkerPanicked { shard: 1, .. }));
-    assert_eq!(state.failed_publishes, 1);
-    assert!(state.records_lost > 0);
-    assert_eq!(store.epochs().unwrap(), vec![1], "no torn epoch reaches the store");
-
-    // Recovery: the pipeline already swapped in a fresh same-seed engine;
-    // re-ingest the lost epoch's records from their durable source.
-    ingest_epoch(&mut epochs, false);
-    let recovered = epochs.publish_into(&mut store).unwrap();
-    assert!(!epochs.is_degraded());
-    assert_eq!(recovered.epoch, 2);
-    assert_eq!(store.epochs().unwrap(), vec![1, 2]);
-    // Same seed, same records ⇒ the recovered epoch is bit-identical to
-    // the epoch-1 snapshot of the same data.
-    assert_eq!(recovered.summary.to_bytes(), good.summary.to_bytes());
-
-    // A restart recovers the same snapshot from disk, bit-exactly.
-    let report = store.recover().unwrap();
-    let (epoch, from_disk) = report.last_good.unwrap();
-    assert_eq!(epoch, 2);
-    assert_eq!(from_disk.to_bytes(), recovered.summary.to_bytes());
-    let mut restarted =
-        EpochedPipeline::new(small_builder().execution(Execution::Sharded(3))).unwrap();
-    restarted.resume_from(epoch, Arc::clone(&from_disk));
-    assert_eq!(restarted.latest().unwrap(), from_disk);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -270,11 +196,10 @@ fn quarantined_file_accumulation_is_bounded() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Multi-seed stress: each seed derives a fault schedule (how many
-/// workers, which one panics, at which record) from a [`FaultPlan`]. The
-/// panic must surface as the typed `ShardWorkerPanicked` from the push that
-/// fires it, every later push and finalize; re-ingesting into a fresh
-/// same-seed sampler must converge to the undisturbed summary bit-exactly.
+/// Re-ingesting the durable source as chunked column batches into a fresh
+/// same-seed sampler must converge to the undisturbed record-at-a-time
+/// summary bit-exactly. Each seed then derives an at-rest fault (which
+/// byte rots, and how) from a [`FaultPlan`].
 ///
 /// CI's stress job widens coverage with `CWS_FAULT_SEEDS=1,2,3,…` in
 /// release mode; the default single seed keeps tier-1 fast.
@@ -313,70 +238,27 @@ fn multi_seed_fault_stress_converges_after_reingest() {
     for (key, weights) in &records {
         sequential.push_record(*key, weights).unwrap();
     }
-    let expected = sequential.finalize().unwrap();
+    let expected = sequential.finalize();
 
+    // Recovery: re-ingest the durable source into a fresh same-seed
+    // sampler, one column batch at a time.
+    let mut fresh = MultiAssignmentStreamSampler::new(config, ASSIGNMENTS);
+    for batch in &batches {
+        fresh.push_columns(batch).unwrap();
+    }
+    let recovered = fresh.finalize();
+    assert_eq!(recovered, expected, "recovery must be bit-exact");
+
+    // Scrub phase: persist the recovered epoch, rot one plan-chosen byte at
+    // rest, and prove the scrubber catches it while recovery still restores
+    // the previous good epoch bit-exactly.
     for &seed in &seeds {
         let mut plan = FaultPlan::new(seed);
-        let workers = 2 + plan.next_below(3) as usize; // 2..=4
-        let inject_at = plan.next_below(batches.len() as u64) as usize;
-        let worker = plan.next_below(workers as u64) as usize;
-        let by_record = plan.coin(2);
-
-        let mut disturbed =
-            MultiAssignmentStreamSampler::with_workers(config, ASSIGNMENTS, workers);
-        assert_eq!(disturbed.workers(), workers, "seed {seed}");
-        let mut failure = None;
-        for (index, batch) in batches.iter().enumerate() {
-            if index == inject_at {
-                disturbed.inject_worker_fault(worker, WorkerFault::Panic).unwrap();
-            }
-            // The armed fault fires on the next push of either shape.
-            let result = if index == inject_at && by_record {
-                let mut row = Vec::new();
-                batch.copy_row_into(0, &mut row);
-                disturbed.push_record(batch.keys()[0], &row)
-            } else {
-                disturbed.push_columns(batch)
-            };
-            match (result, &failure) {
-                (Ok(()), None) => assert!(index < inject_at, "seed {seed}: the fault never fired"),
-                (Err(error), None) => {
-                    assert_eq!(index, inject_at, "seed {seed}: failed before the fault");
-                    match &error {
-                        CwsError::ShardWorkerPanicked { shard, message } => {
-                            assert_eq!(*shard, worker, "seed {seed}");
-                            assert!(message.contains("injected"), "seed {seed}: {message}");
-                        }
-                        other => panic!("seed {seed}: expected a worker panic, got {other:?}"),
-                    }
-                    failure = Some(error);
-                }
-                (Err(error), Some(first)) => assert_eq!(&error, first, "seed {seed}: not sticky"),
-                (Ok(()), Some(_)) => panic!("seed {seed}: a push succeeded after the panic"),
-            }
-        }
-        let failure = failure.expect("the planned fault must fire");
-        assert_eq!(disturbed.finalize().unwrap_err(), failure, "seed {seed}");
-
-        // Recovery: re-ingest the durable source into a fresh same-seed
-        // sampler with the same worker count.
-        let mut fresh = MultiAssignmentStreamSampler::with_workers(config, ASSIGNMENTS, workers);
-        for batch in &batches {
-            fresh.push_columns(batch).unwrap();
-        }
-        let recovered = fresh
-            .finalize()
-            .unwrap_or_else(|error| panic!("seed {seed}: re-ingest finalize failed: {error:?}"));
-        assert_eq!(recovered, expected, "seed {seed}: recovery must be bit-exact");
-
-        // Scrub phase: persist the recovered epoch, rot one plan-chosen
-        // byte at rest, and prove the scrubber catches it while recovery
-        // still restores the previous good epoch bit-exactly.
         let dir = scratch_dir(&format!("stress-scrub-{seed}"));
         let mut store = SnapshotStore::open(&dir, 4).unwrap();
         let good = Summary::Dispersed(expected.clone());
         store.publish(1, &good).unwrap();
-        store.publish(2, &Summary::Dispersed(recovered)).unwrap();
+        store.publish(2, &Summary::Dispersed(recovered.clone())).unwrap();
         let rotten_path = store.epoch_path(2);
         let mut bytes = std::fs::read(&rotten_path).unwrap();
         let offset = plan.next_below(bytes.len() as u64) as usize;

@@ -1,4 +1,4 @@
-//! Facade parity: every `(layout, execution, aggregation, call-shape)`
+//! Facade parity: every `(layout, aggregation, call-shape)`
 //! combination reachable from `PipelineBuilder` must produce summaries
 //! **bit-identical** to the corresponding hand-wired sampler path.
 //!
@@ -12,8 +12,7 @@
 //! * the aggregation parity suite — `SumByKey` over a shuffled element
 //!   stream (each key's weight split into 2–5 fragments, slots interleaved)
 //!   and `MaxByKey` over running-peak fragments vs pre-aggregated
-//!   ingestion, for both layouts, both rank families, sequential and
-//!   sharded execution.
+//!   ingestion, for both layouts and both rank families.
 
 use coordinated_sampling::data::synthetic::{correlated_zipf, element_stream};
 use coordinated_sampling::prelude::*;
@@ -35,19 +34,13 @@ fn families_and_modes() -> [(RankFamily, CoordinationMode); 3] {
     ]
 }
 
-fn builder(
-    family: RankFamily,
-    mode: CoordinationMode,
-    layout: Layout,
-    execution: Execution,
-) -> PipelineBuilder {
+fn builder(family: RankFamily, mode: CoordinationMode, layout: Layout) -> PipelineBuilder {
     Pipeline::builder()
         .assignments(ASSIGNMENTS)
         .k(K)
         .rank(family)
         .coordination(mode)
         .layout(layout)
-        .execution(execution)
         .seed(SEED)
 }
 
@@ -73,7 +66,7 @@ fn reference(family: RankFamily, mode: CoordinationMode, layout: Layout) -> Summ
             for (key, weights) in data.iter() {
                 sampler.push_record(key, weights).unwrap();
             }
-            Summary::Dispersed(sampler.finalize().unwrap())
+            Summary::Dispersed(sampler.finalize())
         }
     }
 }
@@ -83,13 +76,11 @@ fn run_shape(
     family: RankFamily,
     mode: CoordinationMode,
     layout: Layout,
-    execution: Execution,
     aggregation: Aggregation,
     shape: &str,
 ) -> Summary {
     let data = dataset();
-    let mut pipeline =
-        builder(family, mode, layout, execution).aggregation(aggregation).build().unwrap();
+    let mut pipeline = builder(family, mode, layout).aggregation(aggregation).build().unwrap();
     match shape {
         "record" => {
             for (key, weights) in data.iter() {
@@ -112,21 +103,15 @@ fn every_configuration_and_call_shape_matches_the_hand_wired_path() {
     for (family, mode) in families_and_modes() {
         for layout in [Layout::Colocated, Layout::Dispersed] {
             let expected = reference(family, mode, layout);
-            let mut executions = vec![Execution::Sequential];
-            if layout == Layout::Dispersed {
-                executions.extend([Execution::Sharded(1), Execution::Sharded(3)]);
-            }
-            for execution in executions {
-                for aggregation in
-                    [Aggregation::PreAggregated, Aggregation::SumByKey, Aggregation::MaxByKey]
-                {
-                    for shape in ["record", "batch", "columns"] {
-                        let got = run_shape(family, mode, layout, execution, aggregation, shape);
-                        assert_eq!(
-                            got, expected,
-                            "{family:?}/{mode:?} {layout:?} {execution:?} {aggregation:?} {shape}"
-                        );
-                    }
+            for aggregation in
+                [Aggregation::PreAggregated, Aggregation::SumByKey, Aggregation::MaxByKey]
+            {
+                for shape in ["record", "batch", "columns"] {
+                    let got = run_shape(family, mode, layout, aggregation, shape);
+                    assert_eq!(
+                        got, expected,
+                        "{family:?}/{mode:?} {layout:?} {aggregation:?} {shape}"
+                    );
                 }
             }
         }
@@ -144,28 +129,20 @@ fn sum_by_key_over_fragmented_shuffled_elements_is_bit_identical() {
     for (family, mode) in families_and_modes() {
         for layout in [Layout::Colocated, Layout::Dispersed] {
             let expected = reference(family, mode, layout);
-            let mut executions = vec![Execution::Sequential];
-            if layout == Layout::Dispersed {
-                executions.push(Execution::Sharded(2));
+            let mut pipeline =
+                builder(family, mode, layout).aggregation(Aggregation::SumByKey).build().unwrap();
+            // Half the stream element by element, half in batches — the two
+            // element surfaces must compose bit-exactly.
+            let (scalar_half, batched_half) = elements.split_at(elements.len() / 2);
+            for &(key, assignment, fragment) in scalar_half {
+                pipeline.push_element(key, assignment, fragment).unwrap();
             }
-            for execution in executions {
-                let mut pipeline = builder(family, mode, layout, execution)
-                    .aggregation(Aggregation::SumByKey)
-                    .build()
-                    .unwrap();
-                // Half the stream element by element, half in batches — the
-                // two element surfaces must compose bit-exactly.
-                let (scalar_half, batched_half) = elements.split_at(elements.len() / 2);
-                for &(key, assignment, fragment) in scalar_half {
-                    pipeline.push_element(key, assignment, fragment).unwrap();
-                }
-                for batch in batched_half.chunks(1013) {
-                    pipeline.push_elements(batch).unwrap();
-                }
-                assert_eq!(pipeline.processed(), elements.len() as u64);
-                let got = pipeline.finalize().unwrap();
-                assert_eq!(got, expected, "{family:?}/{mode:?} {layout:?} {execution:?}");
+            for batch in batched_half.chunks(1013) {
+                pipeline.push_elements(batch).unwrap();
             }
+            assert_eq!(pipeline.processed(), elements.len() as u64);
+            let got = pipeline.finalize().unwrap();
+            assert_eq!(got, expected, "{family:?}/{mode:?} {layout:?}");
         }
     }
 }
@@ -199,10 +176,8 @@ fn max_by_key_over_peak_observations_is_bit_identical() {
     for (family, mode) in families_and_modes() {
         for layout in [Layout::Colocated, Layout::Dispersed] {
             let expected = reference(family, mode, layout);
-            let mut pipeline = builder(family, mode, layout, Execution::Sequential)
-                .aggregation(Aggregation::MaxByKey)
-                .build()
-                .unwrap();
+            let mut pipeline =
+                builder(family, mode, layout).aggregation(Aggregation::MaxByKey).build().unwrap();
             for &(key, assignment, observation) in &elements {
                 pipeline.push_element(key, assignment, observation).unwrap();
             }
@@ -218,15 +193,10 @@ fn max_by_key_over_peak_observations_is_bit_identical() {
 fn aggregating_pipelines_accept_record_shaped_fragments() {
     let data = dataset();
     let expected = reference(RankFamily::Ipps, CoordinationMode::SharedSeed, Layout::Dispersed);
-    let mut pipeline = builder(
-        RankFamily::Ipps,
-        CoordinationMode::SharedSeed,
-        Layout::Dispersed,
-        Execution::Sequential,
-    )
-    .aggregation(Aggregation::SumByKey)
-    .build()
-    .unwrap();
+    let mut pipeline = builder(RankFamily::Ipps, CoordinationMode::SharedSeed, Layout::Dispersed)
+        .aggregation(Aggregation::SumByKey)
+        .build()
+        .unwrap();
     // Each record split into two half-weight fragments, one pushed as a
     // record and one as part of a columnar batch (w/2 + w/2 == w exactly).
     let mut halves = RecordColumns::new(ASSIGNMENTS);

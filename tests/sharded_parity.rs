@@ -1,8 +1,7 @@
 //! Bit-exactness of the ingestion engine: the hash-once multi-assignment
-//! sampler, sequential or with its assignments split over worker threads
-//! (`Execution::Sharded(n)`), must produce summaries **bit-identical** to
-//! sequential per-assignment ingestion and to the offline builder, for
-//! every rank family, dispersable coordination mode, worker count,
+//! sampler, alone or behind a dispersed [`Pipeline`], must produce
+//! summaries **bit-identical** to per-assignment ingestion and to the
+//! offline builder, for every rank family, dispersable coordination mode,
 //! ingestion API (per-record, one column batch, chunked column batches)
 //! and arrival order.
 
@@ -15,7 +14,6 @@ use cws_core::columns::RecordColumns;
 use cws_hash::RandomSource;
 
 const CASES: u64 = 24;
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
 /// All (family, mode) combinations realizable in the dispersed model.
 fn dispersable_configs(k: usize, seed: u64) -> Vec<SummaryConfig> {
@@ -44,15 +42,14 @@ fn assert_bit_identical(a: &DispersedSummary, b: &DispersedSummary, context: &st
     }
 }
 
-/// A dispersed pipeline over `config` with `shards` workers.
-fn sharded_pipeline(config: &SummaryConfig, assignments: usize, shards: usize) -> Pipeline {
+/// A dispersed pipeline over `config`.
+fn dispersed_pipeline(config: &SummaryConfig, assignments: usize) -> Pipeline {
     Pipeline::builder()
         .assignments(assignments)
         .k(config.k)
         .rank(config.family)
         .coordination(config.mode)
         .layout(Layout::Dispersed)
-        .execution(Execution::Sharded(shards))
         .seed(config.seed)
         .build()
         .unwrap()
@@ -77,9 +74,9 @@ fn shuffled_records(case: u64, label: &str) -> (Vec<(Key, Vec<f64>)>, RecordColu
     (records, columns, assignments)
 }
 
-/// Sharded ingestion equals sequential hash-once ingestion for every rank
-/// family × coordination mode × worker count × ingestion API, over seeded
-/// shuffled streams.
+/// Pipeline ingestion equals record-at-a-time hash-once ingestion for every
+/// rank family × coordination mode × ingestion API, over seeded shuffled
+/// streams.
 #[test]
 fn sharded_equals_sequential_for_all_families_and_shard_counts() {
     for case in 0..CASES {
@@ -92,40 +89,35 @@ fn sharded_equals_sequential_for_all_families_and_shard_counts() {
             for (key, weights) in &records {
                 sequential.push_record(*key, weights).unwrap();
             }
-            let expected = sequential.finalize().unwrap();
+            let expected = sequential.finalize();
+            let context = format!("case {case}: {:?}/{:?} k={k}", config.family, config.mode);
 
-            for shards in SHARD_COUNTS {
-                let context = format!(
-                    "case {case}: {:?}/{:?} k={k} shards={shards}",
-                    config.family, config.mode
-                );
-                // Per-record route (always inline on the caller).
-                let mut sharded = sharded_pipeline(&config, assignments, shards);
-                for (key, weights) in &records {
-                    sharded.push_record(*key, weights).unwrap();
-                }
-                assert_bit_identical(&finalize_dispersed(sharded), &expected, &context);
-
-                // One column batch, split over the workers.
-                let mut sharded = sharded_pipeline(&config, assignments, shards);
-                sharded.push_columns(&columns).unwrap();
-                assert_bit_identical(
-                    &finalize_dispersed(sharded),
-                    &expected,
-                    &format!("{context} [columns]"),
-                );
-
-                // Many small column batches: one split per batch.
-                let mut sharded = sharded_pipeline(&config, assignments, shards);
-                for chunk in columns.split(13) {
-                    sharded.push_columns(&chunk).unwrap();
-                }
-                assert_bit_identical(
-                    &finalize_dispersed(sharded),
-                    &expected,
-                    &format!("{context} [chunked columns]"),
-                );
+            // Per-record route.
+            let mut pipeline = dispersed_pipeline(&config, assignments);
+            for (key, weights) in &records {
+                pipeline.push_record(*key, weights).unwrap();
             }
+            assert_bit_identical(&finalize_dispersed(pipeline), &expected, &context);
+
+            // One column batch.
+            let mut pipeline = dispersed_pipeline(&config, assignments);
+            pipeline.push_columns(&columns).unwrap();
+            assert_bit_identical(
+                &finalize_dispersed(pipeline),
+                &expected,
+                &format!("{context} [columns]"),
+            );
+
+            // Many small column batches.
+            let mut pipeline = dispersed_pipeline(&config, assignments);
+            for chunk in columns.split(13) {
+                pipeline.push_columns(&chunk).unwrap();
+            }
+            assert_bit_identical(
+                &finalize_dispersed(pipeline),
+                &expected,
+                &format!("{context} [chunked columns]"),
+            );
         }
     }
 }
@@ -159,18 +151,18 @@ fn hash_once_equals_per_assignment_and_offline() {
             }
             columnar.push_columns(&columns).unwrap();
             let context = format!("case {case}: {:?}/{:?} k={k}", config.family, config.mode);
-            let once = once.finalize().unwrap();
+            let once = once.finalize();
             assert_bit_identical(&once, &per.finalize(), &context);
             assert_bit_identical(&once, &offline, &context);
-            let columnar = columnar.finalize().unwrap();
+            let columnar = columnar.finalize();
             assert_bit_identical(&once, &columnar, &format!("{context} [columns]"));
         }
     }
 }
 
-/// Sharded ingestion never loses or duplicates a record: the progress
-/// count equals the stream length, and the summary's union keys all exist
-/// in the input.
+/// Pipeline ingestion never loses or duplicates a record across call
+/// shapes: the progress count equals the stream length, and the summary's
+/// union keys all exist in the input.
 #[test]
 fn sharded_record_accounting() {
     let rng = &mut case_rng("sharded_accounting", 0);
@@ -178,51 +170,16 @@ fn sharded_record_accounting() {
     let assignments = data.num_assignments();
     let config = SummaryConfig::new(8, RankFamily::Ipps, CoordinationMode::SharedSeed, 5);
 
-    let mut sharded = sharded_pipeline(&config, assignments, 4);
-    sharded.push_columns(&data.to_columns()).unwrap();
-    assert_eq!(sharded.processed(), data.num_keys() as u64);
+    let mut pipeline = dispersed_pipeline(&config, assignments);
+    pipeline.push_columns(&data.to_columns()).unwrap();
+    assert_eq!(pipeline.processed(), data.num_keys() as u64);
     for (key, weights) in data.iter() {
-        sharded.push_record(key + 1_000_000, weights).unwrap();
+        pipeline.push_record(key + 1_000_000, weights).unwrap();
     }
-    assert_eq!(sharded.processed(), 2 * data.num_keys() as u64);
-    let summary = finalize_dispersed(sharded);
+    assert_eq!(pipeline.processed(), 2 * data.num_keys() as u64);
+    let summary = finalize_dispersed(pipeline);
     for key in summary.union_keys() {
         let key = key % 1_000_000;
         assert!((key as usize) < data.num_keys(), "unknown key {key} in summary");
-    }
-}
-
-/// A panicking worker surfaces as [`CwsError::ShardWorkerPanicked`] from
-/// the push that fires it, every later push and finalize — never a hang,
-/// never a silently dropped record.
-#[test]
-fn injected_worker_panic_is_reported_on_finalize() {
-    let rng = &mut case_rng("sharded_panic", 0);
-    let data = arb_multiweighted(rng, 150);
-    let assignments = data.num_assignments();
-    let config = SummaryConfig::new(8, RankFamily::Ipps, CoordinationMode::SharedSeed, 5);
-
-    // Three workers, or one per assignment when there are fewer.
-    let last_worker = 3.min(assignments) - 1;
-    let mut sharded = sharded_pipeline(&config, assignments, 3);
-    let records: Vec<(Key, Vec<f64>)> =
-        data.iter().map(|(key, weights)| (key, weights.to_vec())).collect();
-    let healthy = records.len() / 2;
-    for (key, weights) in &records[..healthy] {
-        sharded.push_record(*key, weights).unwrap();
-    }
-    sharded.inject_worker_fault(last_worker, WorkerFault::Panic).unwrap();
-    for (key, weights) in &records[healthy..] {
-        match sharded.push_record(*key, weights) {
-            Err(CwsError::ShardWorkerPanicked { shard, .. }) => assert_eq!(shard, last_worker),
-            other => panic!("expected a worker panic, got {other:?}"),
-        }
-    }
-    match sharded.finalize() {
-        Err(CwsError::ShardWorkerPanicked { shard, message }) => {
-            assert_eq!(shard, last_worker);
-            assert!(message.contains("injected"), "{message}");
-        }
-        other => panic!("expected a shard-worker panic report, got {other:?}"),
     }
 }

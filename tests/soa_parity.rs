@@ -112,7 +112,7 @@ fn multi_columns_batch_sizes_around_k_match_push_record() {
             for (key, weights) in &records {
                 scalar.push_record(*key, weights).unwrap();
             }
-            let expected = scalar.finalize().unwrap();
+            let expected = scalar.finalize();
 
             for batch in [1usize, K - 1, K, 4 * K] {
                 let mut batched = MultiAssignmentStreamSampler::new(config, assignments);
@@ -120,7 +120,7 @@ fn multi_columns_batch_sizes_around_k_match_push_record() {
                     batched.push_columns(&columns_of(chunk, assignments)).unwrap();
                 }
                 assert_eq!(batched.processed(), records.len() as u64);
-                let got = batched.finalize().unwrap();
+                let got = batched.finalize();
                 assert_eq!(got, expected, "{family:?} {mode:?} batch={batch}");
                 for (sa, sb) in got.sketches().iter().zip(expected.sketches()) {
                     assert_sketch_bits(sa, sb, &format!("{family:?} {mode:?} batch={batch}"));
@@ -154,7 +154,7 @@ fn duplicates_within_a_single_batch_match_per_record() {
     }
     let mut batched = MultiAssignmentStreamSampler::new(config, 1);
     batched.push_columns(&columns_of(&records, 1)).unwrap();
-    assert_eq!(batched.finalize().unwrap(), scalar.finalize().unwrap());
+    assert_eq!(batched.finalize(), scalar.finalize());
 }
 
 /// An all-zero-weight stream produces empty sketches through both paths.
@@ -164,6 +164,6 @@ fn zero_weight_streams_yield_empty_sketches() {
     let records: Vec<(Key, Vec<f64>)> = (0..100u64).map(|k| (k, vec![0.0, 0.0])).collect();
     let mut batched = MultiAssignmentStreamSampler::new(config, 2);
     batched.push_columns(&columns_of(&records, 2)).unwrap();
-    let summary = batched.finalize().unwrap();
+    let summary = batched.finalize();
     assert_eq!(summary.num_distinct_keys(), 0);
 }

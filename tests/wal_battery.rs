@@ -14,9 +14,11 @@
 //!   converges bit-exactly after the lost suffix is re-offered;
 //! * recovery is **idempotent** for both layers (snapshot store and
 //!   journal): a second run is a no-op that reproduces the same state;
-//! * a failed durable publish (store layer) and a failed finalize
-//!   (worker panic) both lose **zero** records when a journal is
-//!   attached — `DegradedState::records_replayable` carries the count;
+//! * a failed durable publish (store layer) loses **zero** records when a
+//!   journal is attached — `DegradedState::records_replayable` carries the
+//!   count;
+//! * a push refused by an expired ingest deadline is never journaled, so
+//!   recovery replays exactly what the live run ingested;
 //! * a full journal is a typed `BudgetExceeded`, never silent
 //!   truncation, and epoch barriers stay exempt so publishing (which
 //!   prunes) can always make progress;
@@ -28,7 +30,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use coordinated_sampling::core::{CwsError, FaultPlan, RecordColumns, ResourceBudget, WorkerFault};
+use coordinated_sampling::core::{CwsError, FaultPlan, RecordColumns, ResourceBudget};
 use coordinated_sampling::prelude::*;
 
 /// A fresh scratch directory under the OS temp dir (no tempfile crate in
@@ -309,38 +311,6 @@ fn store_layer_publish_failure_loses_zero_records_with_a_journal() {
     assert_eq!(store.epochs().unwrap(), vec![1, 2]);
 }
 
-/// A finalize failure (sharded worker panic) destroys the epoch's
-/// in-memory state — with a journal the records heal straight back into
-/// the fresh pipeline, including records the dying back-end had already
-/// absorbed, and the next publish matches the undisturbed run.
-#[test]
-fn finalize_failure_self_heals_from_the_journal() {
-    let n = 100u64;
-    let wal = scratch_dir("heal-wal");
-    let mut pipeline =
-        EpochedPipeline::new(journaled(&wal).execution(Execution::Sharded(2))).unwrap();
-    for key in 0..n / 2 {
-        pipeline.push_record(key, &weights_for(key)).unwrap();
-    }
-    pipeline.inject_worker_fault(1, WorkerFault::Panic).unwrap();
-    for key in n / 2..n {
-        // Journaled first, then offered to the dying back-end — typed
-        // errors are tolerated once the death is detected.
-        let _ = pipeline.push_record(key, &weights_for(key));
-    }
-    let err = pipeline.publish().unwrap_err();
-    assert!(matches!(err, CwsError::ShardWorkerPanicked { .. }), "{err:?}");
-    let state = pipeline.degraded().unwrap();
-    assert_eq!(state.records_lost, 0, "the journal healed the epoch");
-    assert_eq!(state.records_replayable, n, "every offered record replayed");
-    // The healed pipeline publishes the epoch the panic tried to destroy:
-    // bit-identical to an undisturbed run over all offered records.
-    let report = pipeline.publish().unwrap();
-    assert_eq!(report.epoch, 1);
-    assert!(!pipeline.is_degraded());
-    assert_eq!(report.summary.to_bytes(), reference_bytes(0..n));
-}
-
 /// A full journal is a typed `BudgetExceeded` — never silent truncation —
 /// checked *before* the frame is written, so the rejected record is
 /// neither journaled nor ingested. Epoch barriers are exempt, so a
@@ -378,6 +348,46 @@ fn full_journal_is_a_typed_budget_error_and_barriers_still_publish() {
     let report = pipeline.publish_into(&mut store).unwrap();
     assert_eq!(report.records, accepted, "the rejected record was never half-ingested");
     pipeline.push_record(9_999, &weights_for(9_999)).unwrap();
+}
+
+/// A push refused by an expired ingest deadline is refused before the
+/// journal write, so recovery replays exactly what the live run ingested —
+/// for all four push calls.
+#[test]
+fn deadline_refused_pushes_are_never_journaled() {
+    let wal = scratch_dir("deadline-wal");
+    let store_dir = scratch_dir("deadline-store");
+    let builder = || small_builder().aggregation(Aggregation::SumByKey);
+    let config = || WalConfig::new(&wal).sync(SyncPolicy::OnRotate);
+    let mut live = EpochedPipeline::new(
+        builder().deadline(std::time::Duration::from_millis(250)).journal(config()),
+    )
+    .unwrap();
+    live.push_record(1, &weights_for(1)).unwrap();
+    std::thread::sleep(std::time::Duration::from_millis(300));
+    let mut columns = RecordColumns::new(2);
+    columns.push(3, &weights_for(3));
+    let refusals = [
+        live.push_record(2, &weights_for(2)),
+        live.push_columns(&columns),
+        live.push_element(4, 0, 1.0),
+        live.push_elements(&[(5, 1, 2.0), (6, 0, 3.0)]),
+    ];
+    for refusal in refusals {
+        assert!(matches!(refusal, Err(CwsError::DeadlineExceeded { op: "ingest", .. })));
+    }
+    assert_eq!(live.processed(), 1);
+    let live_bytes = live.current().snapshot().unwrap().to_bytes();
+    drop(live); // the crash
+
+    // The restarted service arms no deadline, so replay itself runs off
+    // the clock.
+    let mut store = SnapshotStore::open(&store_dir, 4).unwrap();
+    let recovery = recover_from_store_and_wal(builder().journal(config()), &mut store).unwrap();
+    assert_eq!(recovery.replay.records_replayed, 1);
+    assert_eq!(recovery.pipeline.current().snapshot().unwrap().to_bytes(), live_bytes);
+    fs::remove_dir_all(&wal).unwrap();
+    fs::remove_dir_all(&store_dir).unwrap();
 }
 
 /// Epoch watermarks bound the journal: every durable publish prunes the
@@ -550,9 +560,9 @@ fn assert_replay_matches_live(
 
 /// A journaled push replays through the batch call that wrote it, so a
 /// batch the live run rejected part of replays with the same rejection.
-/// The three back-ends reject a column batch with a NaN at record 1,500 at
+/// The two back-ends reject a column batch with a NaN at record 1,500 at
 /// different granularities (dispersed: whole 1,024-record chunks;
-/// `Sharded(2)`: the whole batch; colocated: the records from the NaN on),
+/// colocated: the records from the NaN on),
 /// and a key-capped `SumByKey` stage flushes early before a batch whose new
 /// keys straddle the cap — replaying record by record or element by
 /// element reproduces none of these.
@@ -578,7 +588,6 @@ fn replay_reproduces_each_journaled_batch_call_exactly() {
     };
     for (tag, builder) in [
         ("nan-dispersed", base().layout(Layout::Dispersed)),
-        ("nan-sharded", base().layout(Layout::Dispersed).execution(Execution::Sharded(2))),
         ("nan-colocated", base().layout(Layout::Colocated)),
     ] {
         assert_replay_matches_live(tag, builder, &column_pushes);
